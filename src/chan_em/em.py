@@ -8,8 +8,11 @@ a gap from state a to state b with g hidden slots, the expected number of
 
 a two-sided bridge identity. Gaps with the same (a, b, g) signature share
 the same expectation, so the whole E-step runs over the signature histogram.
-The M-step is the complete-data ratio estimator on the expected counts,
-clamped into the open unit square so log-likelihoods stay finite.
+The bridge sums are blocks of one power of a 10x10 block upper-triangular
+matrix (Van Loan 1978), formed for all signatures at once by repeated
+squaring in likelihood.gap_posterior; one E-step costs O(signatures x log
+max gap). The M-step is the complete-data ratio estimator on the expected
+counts, clamped into the open unit square so log-likelihoods stay finite.
 """
 
 from __future__ import annotations
@@ -26,16 +29,17 @@ from chan_em.errors import (
     DegenerateObservationsError,
     DegenerateParametersError,
     InsufficientDataError,
-    ZeroProbabilityError,
 )
 from chan_em.expfam import SufficientStats
 from chan_em.likelihood import (
+    gap_posterior,
     geometric_mean_likelihood,
     incomplete_log_likelihood,
     se_db_between,
-    transition_powers,
+    # re-exported because bench/tracing.py patches em.transition_powers
+    transition_powers,  # noqa: F401
 )
-from chan_em.markov import OCCUPIED, ChannelParams, transition_matrix
+from chan_em.markov import OCCUPIED, ChannelParams
 from chan_em.observation import ObservedDataset
 
 
@@ -121,43 +125,16 @@ class EstimateReport:
 def e_step(dataset: ObservedDataset, params: ChannelParams) -> SufficientStats:
     """Posterior-expected transition counts under interior parameters.
 
-    For each gap signature builds the forward rows [P^j]_{a,.} and backward
-    columns [P^(g-j)]_{.,b} and contracts them once, so the cost is a few
-    small matrix products per distinct signature. The four expectations
-    always sum to the spanned transition count exactly (each gap contributes
-    g+1 transitions of posterior mass one).
+    Reads the counts off gap_posterior's block-matrix powers for all gap
+    signatures at once, at a cost of O(signatures x log max gap). The four
+    expectations sum to the spanned transition count up to rounding (each
+    gap contributes g+1 transitions of posterior mass one).
     """
     if not params.is_interior():
         raise BoundaryParameterError(
             "e_step requires interior parameters, clamp the start first"
         )
-    signatures, counts = dataset.gap_histogram
-    P = transition_matrix(params)
-    powers = transition_powers(params, int(signatures[:, 2].max()) + 1)
-    occ_to_idle = 0.0
-    idle_to_occ = 0.0
-    from_occ = 0.0
-    from_idle = 0.0
-    for (a, b, g), count in zip(signatures, counts):
-        total_prob = powers[g + 1, a, b]
-        if total_prob <= 0.0:
-            raise ZeroProbabilityError(
-                f"gap {int(a)}->{int(b)} over {int(g) + 1} steps has zero probability"
-            )
-        forward = powers[: g + 1, a, :]
-        backward = powers[g::-1, :, b]
-        # bridge[u, v] = sum_j forward[j, u] * P[u, v] * backward[j, v]
-        bridge = P * (forward.T @ backward) / total_prob
-        occ_to_idle += count * bridge[0, 1]
-        idle_to_occ += count * bridge[1, 0]
-        from_occ += count * (bridge[0, 0] + bridge[0, 1])
-        from_idle += count * (bridge[1, 0] + bridge[1, 1])
-    return SufficientStats(
-        occ_to_idle=float(occ_to_idle),
-        idle_to_occ=float(idle_to_occ),
-        from_occ=float(from_occ),
-        from_idle=float(from_idle),
-    )
+    return gap_posterior(dataset, params)[1]
 
 
 def m_step(expected: SufficientStats, clamp_epsilon: float = 1e-9) -> ChannelParams:
@@ -261,7 +238,8 @@ def multi_start(
     truth's per-transition likelihood when a truth is given, otherwise the
     best per-transition likelihood attained by any run. The winner minimizes
     se_db, ties broken by higher final log-likelihood then lower start
-    index. Returns (winner, reports in start order); failed starts are
+    index. With a truth, gamma_percent is each run's parameter error against
+    it. Returns (winner, reports in start order); failed starts are
     dropped from the list, and AllStartsFailedError aggregates the causes
     when no start survives.
     """
@@ -272,7 +250,7 @@ def multi_start(
     failures: list[str] = []
     for index, start in enumerate(starts):
         try:
-            report = run_em(dataset, start, config, truth=truth)
+            report = run_em(dataset, start, config)
         except ChanEmError as exc:
             failures.append(f"start {index} ({start.alpha}, {start.beta}): {exc}")
             continue
@@ -290,6 +268,8 @@ def multi_start(
         target = max(values)
     for report, value in zip(reports, values):
         report.se_db = se_db_between(float(value), float(target))
+        if truth is not None:
+            report.gamma_percent = relative_error(report.estimate, truth)
     best_index = min(
         range(len(reports)),
         key=lambda i: (reports[i].se_db, -final_logliks[i], i),

@@ -3,7 +3,8 @@
 Conditioned on the first observed state, the probability of an observed
 dataset factorizes over gaps: a gap from state a to state b with g hidden
 slots contributes [P^(g+1)]_{a,b}, the (g+1)-step transition probability.
-The brute-force functions recompute the same quantities by summing over
+gap_posterior computes it together with the E-step's expected counts. The
+brute-force functions recompute the same quantities by summing over
 every completion of the hidden slots; they exist as independent oracles for
 tests and are deliberately naive.
 """
@@ -27,76 +28,93 @@ SE_FLOOR_DB = -320.0
 
 MAX_ENUMERATION_HIDDEN = 20
 
-_INCREMENTAL_POWER_LIMIT = 1024
-
 _ENUM_CHUNK = 1 << 16
 
 
-def _renormalized(matrix: np.ndarray) -> np.ndarray:
-    # guard against drift in long products: rows must stay stochastic
-    out = matrix / matrix.sum(axis=1, keepdims=True)
-    return np.minimum(out, 1.0)
-
-
 def transition_powers(params: ChannelParams, max_power: int) -> np.ndarray:
-    """Stack [P^0, P^1, ..., P^max_power] with per-step row renormalization."""
+    """Stack [P^0, P^1, ..., P^max_power] of n_step_matrix values."""
     if max_power < 0:
         raise ValueError("max_power must be >= 0")
-    out = np.empty((max_power + 1, 2, 2))
-    out[0] = np.eye(2)
-    if max_power >= 1:
-        step = transition_matrix(params)
-        out[1] = step
-        for n in range(2, max_power + 1):
-            out[n] = _renormalized(out[n - 1] @ step)
-    return out
+    P = transition_matrix(params)
+    return np.stack([np.linalg.matrix_power(P, n) for n in range(max_power + 1)])
 
 
 def n_step_matrix(params: ChannelParams, n: int) -> np.ndarray:
     """n-step transition matrix P^n for n >= 1.
 
-    Incremental products for small n, binary exponentiation (with the same
-    renormalization guard) beyond, so n in the millions stays cheap.
+    Repeated squaring: O(log n) 2x2 products, so n in the millions stays
+    cheap. Every product sums non-negative terms, so each entry's relative
+    rounding error stays within a small multiple of n float epsilons.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if n <= _INCREMENTAL_POWER_LIMIT:
-        return transition_powers(params, n)[n]
-    base = transition_matrix(params)
-    result = np.eye(2)
-    k = n
-    while k:
-        if k & 1:
-            result = _renormalized(result @ base)
-        k >>= 1
-        if k:
-            base = _renormalized(base @ base)
-    return result
+    return np.linalg.matrix_power(transition_matrix(params), n)
+
+
+def gap_posterior(
+    dataset: ObservedDataset, params: ChannelParams
+) -> tuple[float, SufficientStats]:
+    """Log-likelihood and posterior-expected transition counts in one pass.
+
+    The kernel behind incomplete_log_likelihood and the E-step. It powers
+    the block upper-triangular matrix of Van Loan (1978)
+
+        M = [[P, C_01, C_10, C_from0, C_from1], [0, P, 0, 0, 0], ...]
+
+    (P on the whole diagonal), whose n-th power holds P^n in its first block
+    and sum_{j<n} P^j C_k P^(n-1-j) in block k. C_01 keeps only P's (0, 1)
+    entry, C_10 only its (1, 0) entry, C_from0 and C_from1 only its row 0
+    or 1; so entry (a, b) of block k of M^(g+1), over [P^(g+1)]_{a,b}, is
+    the expected count of that kind of transition in a gap a -> b with g
+    hidden slots. Row a of M^(g+1) is built for all signatures at once by
+    repeated squaring over the bits of g+1: O(signatures x log max gap).
+    Only non-negative terms are summed, so each value's relative rounding
+    error stays within a small multiple of (g+1) float epsilons anywhere in
+    the unit square, and counts that are exactly zero come out zero.
+    Raises ZeroProbabilityError if an observed gap has probability zero.
+    """
+    signatures, counts = dataset.gap_histogram
+    start, end, hidden = signatures.T
+    steps = hidden + 1
+    P = transition_matrix(params)
+    M = np.kron(np.eye(5), P)
+    # first block row: C_01, C_10, C_from0, C_from1 in columns 2-3 ... 8-9
+    M[0, 3] = P[0, 1]
+    M[1, 4] = P[1, 0]
+    M[0, 6:8] = P[0]
+    M[1, 8:10] = P[1]
+    rows = np.eye(10)[start]
+    power = M
+    for bit in range(int(steps.max()).bit_length()):
+        rows = np.where(((steps >> bit) & 1)[:, None] == 1, rows @ power, rows)
+        power = power @ power
+    # blocks[i, k] = entry (start_i, end_i) of block k of M^(g_i + 1)
+    blocks = rows.reshape(-1, 5, 2)[np.arange(len(steps)), :, end]
+    prob = blocks[:, 0]
+    if not (prob > 0.0).all():
+        i = int(np.argmin(prob > 0.0))
+        raise ZeroProbabilityError(
+            f"gap {int(start[i])}->{int(end[i])} over {int(steps[i])} steps "
+            "has zero probability"
+        )
+    expected = counts @ (blocks[:, 1:] / prob[:, None])
+    return float(counts @ np.log(prob)), SufficientStats(*map(float, expected))
 
 
 def incomplete_log_likelihood(dataset: ObservedDataset, params: ChannelParams) -> float:
     """Log-probability of the observed states given the first one.
 
-    Sum over gaps of log [P^(g+1)]_{a,b}, grouped by gap signature. Requires
-    interior parameters; raises ZeroProbabilityError if any observed gap has
-    probability exactly zero (cannot happen at interior parameters, but the
-    guard keeps the contract explicit).
+    Sum over gaps of log [P^(g+1)]_{a,b}, grouped by gap signature and
+    computed by gap_posterior. Requires interior parameters; raises
+    ZeroProbabilityError if any observed gap has probability exactly zero
+    (cannot happen at interior parameters, but the guard keeps the contract
+    explicit).
     """
     if not params.is_interior():
         raise BoundaryParameterError(
             "incomplete_log_likelihood requires 0 < alpha, beta < 1"
         )
-    signatures, counts = dataset.gap_histogram
-    powers = transition_powers(params, int(signatures[:, 2].max()) + 1)
-    total = 0.0
-    for (a, b, g), count in zip(signatures, counts):
-        prob = powers[g + 1, a, b]
-        if prob <= 0.0:
-            raise ZeroProbabilityError(
-                f"gap {int(a)}->{int(b)} over {int(g) + 1} steps has zero probability"
-            )
-        total += count * math.log(prob)
-    return float(total)
+    return gap_posterior(dataset, params)[0]
 
 
 def geometric_mean_likelihood(dataset: ObservedDataset, params: ChannelParams) -> float:

@@ -182,11 +182,6 @@ class ObservedDataset:
         signatures = np.column_stack(((uniq >> 1) & 1, uniq & 1, uniq >> 2))
         return signatures, counts
 
-    @property
-    def max_hidden_len(self) -> int:
-        signatures, _ = self.gap_histogram
-        return int(signatures[:, 2].max())
-
     def save(self, path: str | Path, meta: dict[str, object] | None = None) -> None:
         """Write `slot_index,state` CSV; optional metadata as leading # lines."""
         path = Path(path)

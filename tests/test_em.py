@@ -58,6 +58,13 @@ class TestEStep:
             assert expected.total_transitions == pytest.approx(
                 dataset.num_transitions, abs=1e-9
             )
+        # two gaps of 10^6 hidden slots: the cost grows with log gap length
+        long_gaps = ObservedDataset(times=[1, 1_000_002, 2_000_003], states=[0, 1, 1])
+        for params in (ChannelParams(0.5, 0.5), ChannelParams(0.9, 0.1)):
+            expected = e_step(long_gaps, params)
+            assert expected.total_transitions == pytest.approx(
+                long_gaps.num_transitions, rel=1e-12
+            )
 
     def test_boundary_rejected(self):
         dataset = ObservedDataset(times=[1, 3], states=[0, 1])

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,9 +14,11 @@ from chan_em import (
     EnumerationLimitError,
     ObservedDataset,
     SE_FLOOR_DB,
+    ZeroProbabilityError,
     brute_force_likelihood,
     complete_log_likelihood,
     count_statistics,
+    e_step,
     geometric_mean_likelihood,
     incomplete_log_likelihood,
     n_step_matrix,
@@ -24,6 +27,7 @@ from chan_em import (
     transition_matrix,
     transition_powers,
 )
+from chan_em.likelihood import gap_posterior
 from conftest import random_small_instance
 
 
@@ -109,6 +113,12 @@ class TestIncompleteLogLikelihood:
         with pytest.raises(BoundaryParameterError):
             incomplete_log_likelihood(dataset, ChannelParams(0.0, 0.3))
 
+    def test_zero_probability_gap_named(self):
+        # alpha = beta = 1 alternates deterministically: 0 -> 1 in 2 steps is impossible
+        dataset = ObservedDataset(times=[1, 2, 4], states=[1, 0, 1])
+        with pytest.raises(ZeroProbabilityError, match="gap 0->1 over 2 steps"):
+            gap_posterior(dataset, ChannelParams(1.0, 1.0))
+
     def test_matches_brute_force(self):
         rng = np.random.default_rng(15)
         for _ in range(40):
@@ -176,6 +186,84 @@ class TestBruteForce:
         dataset = ObservedDataset(times=[1, 23], states=[0, 1])
         with pytest.raises(EnumerationLimitError):
             brute_force_likelihood(dataset, ChannelParams(0.5, 0.5))
+
+
+def exact_gap_values(alpha: float, beta: float, hidden_lengths: list[int]) -> dict:
+    """Exact [P^(g+1)]_{a,b} and expected counts for every gap signature.
+
+    alpha and beta enter at their exact rational values. Floats are dyadic,
+    so over a common denominator `scale` every P^n is an integer matrix over
+    scale^n and the bridge sums of the E-step identity are exact integer
+    sums; only the final divisions round, and Python rounds int / int
+    correctly. Returns {(a, b, g): (probability, (occ_to_idle, idle_to_occ,
+    from_occ, from_idle))} with an exactly zero count as 0.0.
+    """
+    exact_alpha, exact_beta = Fraction(alpha), Fraction(beta)
+    scale = max(exact_alpha.denominator, exact_beta.denominator)
+    A, B = int(exact_alpha * scale), int(exact_beta * scale)
+    P = [[scale - A, A], [B, scale - B]]
+    powers = [[[1, 0], [0, 1]]]
+    for _ in range(max(hidden_lengths) + 1):
+        last = powers[-1]
+        powers.append(
+            [[last[i][0] * P[0][j] + last[i][1] * P[1][j] for j in (0, 1)]
+             for i in (0, 1)]
+        )
+    out = {}
+    for g in hidden_lengths:
+        for a in (0, 1):
+            for b in (0, 1):
+                total = powers[g + 1][a][b]
+                # bridge[u][v] = sum_j [P^j]_{a,u} P_{u,v} [P^(g-j)]_{v,b}
+                bridge = [
+                    [P[u][v] * sum(powers[j][a][u] * powers[g - j][v][b]
+                                   for j in range(g + 1)) for v in (0, 1)]
+                    for u in (0, 1)
+                ]
+                counts = (
+                    bridge[0][1],
+                    bridge[1][0],
+                    bridge[0][0] + bridge[0][1],
+                    bridge[1][0] + bridge[1][1],
+                )
+                out[a, b, g] = (
+                    total / scale ** (g + 1),
+                    tuple(c / total for c in counts),
+                )
+    return out
+
+
+class TestExactNearBoundary:
+    """Gap kernel against exact rational arithmetic, up to the unit square's corners.
+
+    Gaps reach far past the enumeration oracle's MAX_ENUMERATION_HIDDEN, and
+    near alpha + beta -> 0 or 2 a kernel built on 1 - alpha - beta loses
+    digits; one built from sums of non-negative terms must not.
+    """
+
+    @pytest.mark.parametrize(
+        "alpha, beta",
+        [(1e-9, 1e-9), (1e-9, 1 - 1e-9), (1 - 1e-9, 1 - 1e-9), (0.002, 0.003),
+         (0.8, 0.3)],
+    )
+    def test_matches_exact_rational_oracle(self, alpha, beta):
+        params = ChannelParams(alpha, beta)
+        exact = exact_gap_values(alpha, beta, [*range(61), 150])
+        for (a, b, g), (prob, counts) in exact.items():
+            dataset = ObservedDataset(times=[1, g + 2], states=[a, b])
+            where = f"gap {a}->{b}, {g} hidden"
+            assert math.exp(incomplete_log_likelihood(dataset, params)) == (
+                pytest.approx(prob, rel=1e-12)
+            ), where
+            assert n_step_matrix(params, g + 1)[a, b] == pytest.approx(
+                prob, rel=1e-12
+            ), where
+            fast = e_step(dataset, params).as_tuple()
+            for got, want in zip(fast, counts):
+                if want == 0.0:
+                    assert got == 0.0, where
+                else:
+                    assert got == pytest.approx(want, rel=1e-12), where
 
 
 class TestSquaredErrorDb:
