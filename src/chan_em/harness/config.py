@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
@@ -35,6 +36,9 @@ _SCHEDULE_KEYS = {"kind", "skip", "support", "seed"}
 _EM_KEYS = {"max_iterations", "param_tolerance", "clamp_epsilon", "record_trajectory"}
 _GRID_KEYS = {"step", "bounds"}
 _STARTS_KEYS = {"heuristic_count"}
+
+# cap on worst-case simulated slots per channel; 5e7 fast-mixing slots peak near 0.9 GB
+MAX_SIMULATED_SLOTS = 50_000_000
 
 
 @dataclass(frozen=True)
@@ -87,6 +91,13 @@ class ExperimentConfig:
             raise ConfigError("true_params must list at least one channel")
         if self.observed_slots < 2:
             raise ConfigError("observed_slots must be >= 2")
+        schedule = self.schedule
+        longest = schedule.skip if schedule.kind == "fixed" else max(schedule.support)
+        if 1 + (self.observed_slots - 1) * (longest + 1) > MAX_SIMULATED_SLOTS:
+            raise ConfigError(
+                f"{self.observed_slots} observations with skips up to {longest} "
+                f"can span more than {MAX_SIMULATED_SLOTS} simulated slots"
+            )
         if isinstance(self.starts, int):
             if self.starts < 1:
                 raise ConfigError("heuristic_count must be >= 1")
@@ -118,6 +129,8 @@ def _as_int(value: Any, where: str) -> int:
 def _as_number(value: Any, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where} must be a number, got {value!r}")
+    if not abs(value) <= sys.float_info.max:  # false for inf, nan and huge ints
+        raise ConfigError(f"{where} must be finite, got {value!r}")
     return float(value)
 
 
@@ -272,7 +285,7 @@ def load_config_file(path: str | Path) -> dict:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an int past the digit limit
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError("config file must contain a JSON object")

@@ -13,14 +13,13 @@ import csv
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
 from chan_em.errors import InsufficientDataError
 
 _SCHEDULE_KINDS = ("fixed", "random-uniform")
-_BLOCK = 1024
 
 
 class Gap(NamedTuple):
@@ -37,7 +36,8 @@ class ObservationSchedule:
 
     kind "fixed" skips the same number every time; "random-uniform" draws the
     skip i.i.d. uniformly from `support` (a tuple of lengths >= 1) using its
-    own seed, so a schedule is replayable independently of the chain.
+    own seed, so a schedule is replayable independently of the chain. It is
+    one bulk draw: every observation count sees a prefix of the same stream.
     """
 
     kind: str
@@ -79,51 +79,37 @@ class ObservationSchedule:
             seed=None if seed is None else int(seed),
         )
 
-    def _skips(self) -> Iterator[int]:
-        """Yield skip lengths one gap at a time, drawn in fixed-size blocks.
+    def _times(self, gaps: int) -> np.ndarray:
+        """The first `gaps + 1` observation slots, starting at slot 1.
 
-        Both consumption patterns (a given observation count, or as many as
-        fit a sequence) see the same stream for the same seed.
+        A random schedule draws all `gaps` skips in one call on a freshly
+        seeded generator, so every count sees a prefix of the same stream.
         """
+        steps = np.ones(gaps + 1, dtype=np.int64)
         if self.kind == "fixed":
-            while True:
-                yield int(self.skip)
-        if self.seed is None:
-            raise ValueError("random-uniform schedule needs a seed before drawing")
-        support = np.asarray(self.support, dtype=np.int64)
-        rng = np.random.default_rng(self.seed)
-        while True:
-            idx = rng.integers(0, support.shape[0], size=_BLOCK)
-            yield from (int(s) for s in support[idx])
+            steps[1:] = self.skip + 1
+        else:
+            if self.seed is None:
+                raise ValueError("random-uniform schedule needs a seed before drawing")
+            rng = np.random.default_rng(self.seed)
+            picks = rng.integers(0, len(self.support), size=gaps)
+            # in place: mode "raise" would buffer a copy of the output
+            np.take(np.add(self.support, 1), picks, out=steps[1:], mode="clip")
+        return np.cumsum(steps, out=steps)
 
     def times_for_count(self, num_observations: int) -> np.ndarray:
         """1-based observation slots for exactly `num_observations` samples."""
         if num_observations < 2:
             raise ValueError("need at least 2 observations")
-        skip_iter = self._skips()
-        steps = np.fromiter(
-            (next(skip_iter) + 1 for _ in range(num_observations - 1)),
-            dtype=np.int64,
-            count=num_observations - 1,
-        )
-        times = np.empty(num_observations, dtype=np.int64)
-        times[0] = 1
-        np.cumsum(steps, out=times[1:])
-        times[1:] += 1
-        return times
+        return self._times(num_observations - 1)
 
     def times_within(self, total_slots: int) -> np.ndarray:
         """All observation slots that fit a sequence of `total_slots` slots."""
         if total_slots < 1:
             raise ValueError("total_slots must be >= 1")
-        times = [1]
-        pos = 1
-        for skip in self._skips():
-            pos += skip + 1
-            if pos > total_slots:
-                break
-            times.append(pos)
-        return np.asarray(times, dtype=np.int64)
+        shortest_step = 1 + (self.skip if self.kind == "fixed" else min(self.support))
+        times = self._times((total_slots - 1) // shortest_step)
+        return times[times <= total_slots]
 
 
 @dataclass(frozen=True)
@@ -189,10 +175,9 @@ class ObservedDataset:
             if meta:
                 for key, value in meta.items():
                     fh.write(f"# {key}: {value}\n")
-            writer = csv.writer(fh)
+            writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["slot_index", "state"])
-            for t, s in zip(self.times.tolist(), self.states.tolist()):
-                writer.writerow([t, s])
+            writer.writerows(zip(self.times.tolist(), self.states.tolist()))
 
     @classmethod
     def load(cls, path: str | Path) -> ObservedDataset:

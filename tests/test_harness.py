@@ -143,6 +143,11 @@ class TestParseConfig:
             {"grid": {"bounds": [0.0, 0.5, 1.0]}},
             {"output_dir": 7},
             {"write_sequence": "yes"},
+            {"em": {"param_tolerance": float("inf")}},
+            {"em": {"param_tolerance": float("nan")}},
+            {"em": {"param_tolerance": 10**400}},
+            {"schedule": {"kind": "fixed", "skip": 100_000_000}},
+            {"observed_slots": 10**9},
         ],
     )
     def test_invalid_configs_rejected(self, tmp_path, mutation):
@@ -621,6 +626,9 @@ class TestCli:
     def test_invalid_json_config(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
+        assert main(["simulate", "--config", str(path)]) == 2
+        # json raises a plain ValueError past Python's int digit limit
+        path.write_text('{"master_seed": ' + "1" * 5000 + "}")
         assert main(["simulate", "--config", str(path)]) == 2
 
     def test_paper_scale_needs_preset(self, tmp_path, capsys):

@@ -47,9 +47,21 @@ class TestSchedule:
 
     def test_times_within_matches_times_for_count(self):
         sched = ObservationSchedule.random_uniform((1, 2, 3, 4, 5, 6), seed=99)
-        by_count = sched.times_for_count(500)
+        by_count = sched.times_for_count(3000)
         by_span = sched.times_within(int(by_count[-1]))
         np.testing.assert_array_equal(by_count, by_span)
+        # every count is a prefix of one stream, across 1024-draw boundaries
+        for count in (1023, 1024, 1025):
+            prefix = sched.times_for_count(count)
+            np.testing.assert_array_equal(prefix, by_count[:count])
+        # the stream itself is pinned: outputs depend on it byte for byte
+        assert by_count[:12].tolist() == [1, 8, 13, 19, 24, 27, 32, 39, 46, 53, 58, 61]
+        assert (by_count[1023], by_count[1024], by_count[2999]) == (4669, 4674, 13604)
+
+    def test_times_within_shorter_than_first_step(self):
+        sched = ObservationSchedule.random_uniform((1, 2, 3, 4, 5, 6), seed=99)
+        np.testing.assert_array_equal(sched.times_within(7), [1])
+        np.testing.assert_array_equal(ObservationSchedule.fixed(4).times_within(5), [1])
 
     def test_random_needs_seed_to_draw(self):
         sched = ObservationSchedule(kind="random-uniform", support=(1, 2))
@@ -175,6 +187,7 @@ class TestCsvRoundTrip:
         dataset.save(path, meta={"tool": "chan-em", "master_seed": 7})
         text = path.read_text()
         assert text.startswith("# tool: chan-em\n# master_seed: 7\n")
+        assert b"\r" not in path.read_bytes()  # read_text() would hide \r\n
         assert "slot_index,state" in text
         loaded = ObservedDataset.load(path)
         np.testing.assert_array_equal(loaded.times, dataset.times)
