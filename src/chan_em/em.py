@@ -11,12 +11,14 @@ the same expectation, so the whole E-step runs over the signature histogram.
 The bridge sums are blocks of one power of a 10x10 block upper-triangular
 matrix (Van Loan 1978), formed for all signatures at once by repeated
 squaring in likelihood.gap_posterior; one E-step costs O(signatures x log
-max gap). The M-step is the complete-data ratio estimator on the expected
-counts, clamped into the open unit square so log-likelihoods stay finite.
+max gap) and also yields the log-likelihood. The M-step is the complete-data
+ratio estimator on the expected counts, clamped into the open unit square so
+log-likelihoods stay finite.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -32,11 +34,12 @@ from chan_em.errors import (
 )
 from chan_em.expfam import SufficientStats
 from chan_em.likelihood import (
+    GapPosterior,
     gap_posterior,
     geometric_mean_likelihood,
-    incomplete_log_likelihood,
+    # the two noqa names are unused here; bench/tracing.py patches them on em
+    incomplete_log_likelihood,  # noqa: F401
     se_db_between,
-    # re-exported because bench/tracing.py patches em.transition_powers
     transition_powers,  # noqa: F401
 )
 from chan_em.markov import OCCUPIED, ChannelParams
@@ -87,13 +90,15 @@ class EmTrajectory:
 class EstimateReport:
     """Outcome of one E-M run: the estimate plus where it came from.
 
-    se_db and gamma_percent stay None until a reference is known (a truth,
-    or the best run of a multi-start).
+    log_likelihood is the estimate's, read off the run's last E-step. se_db
+    and gamma_percent stay None until a reference is known (a truth, or the
+    best run of a multi-start).
     """
 
     estimate: ChannelParams
     start: ChannelParams
     iterations_run: int
+    log_likelihood: float
     se_db: float | None = None
     gamma_percent: float | None = None
     trajectory: EmTrajectory | None = None
@@ -122,19 +127,19 @@ class EstimateReport:
         return out
 
 
-def e_step(dataset: ObservedDataset, params: ChannelParams) -> SufficientStats:
+def e_step(dataset: ObservedDataset, params: ChannelParams) -> GapPosterior:
     """Posterior-expected transition counts under interior parameters.
 
-    Reads the counts off gap_posterior's block-matrix powers for all gap
-    signatures at once, at a cost of O(signatures x log max gap). The four
-    expectations sum to the spanned transition count up to rounding (each
-    gap contributes g+1 transitions of posterior mass one).
+    gap_posterior's result: the counts for all gap signatures at once, at a
+    cost of O(signatures x log max gap), and the log_likelihood at params.
+    The four expectations sum to the spanned transition count up to rounding
+    (each gap contributes g+1 transitions of posterior mass one).
     """
     if not params.is_interior():
         raise BoundaryParameterError(
             "e_step requires interior parameters, clamp the start first"
         )
-    return gap_posterior(dataset, params)[1]
+    return gap_posterior(dataset, params)
 
 
 def m_step(expected: SufficientStats, clamp_epsilon: float = 1e-9) -> ChannelParams:
@@ -172,55 +177,45 @@ def run_em(
     """Run E-M from one start; optionally score against a known truth.
 
     The start is clamped into the open unit square before the first E-step.
-    When truth is given, se_db scores the estimate's per-transition
-    likelihood against the truth's and gamma_percent the parameter error.
+    Each E-step also yields its iterate's log-likelihood, so N updates cost
+    N+1 kernel evaluations. When truth is given, se_db scores the estimate's
+    per-transition likelihood against the truth's and gamma_percent the
+    parameter error.
     """
     eps = config.clamp_epsilon
     current = start.clamped(eps)
     trajectory = EmTrajectory() if config.record_trajectory else None
-    if trajectory is not None:
-        trajectory.steps.append(
-            TrajectoryStep(
-                0,
-                current.alpha,
-                current.beta,
-                incomplete_log_likelihood(dataset, current),
-            )
-        )
-    iterations_run = 0
-    for iteration in range(1, config.max_iterations + 1):
+    delta = math.inf
+    for iteration in range(config.max_iterations + 1):
         try:
-            expected = e_step(dataset, current)
-            updated = m_step(expected, eps)
+            posterior = e_step(dataset, current)
+            if trajectory is not None:
+                trajectory.steps.append(
+                    TrajectoryStep(
+                        iteration, *current.as_tuple(), posterior.log_likelihood
+                    )
+                )
+            if delta < config.param_tolerance or iteration == config.max_iterations:
+                break
+            updated = m_step(posterior, eps)
         except ChanEmError as exc:
-            raise type(exc)(f"iteration {iteration}: {exc}") from exc
-        iterations_run = iteration
+            raise type(exc)(f"iteration {iteration + 1}: {exc}") from exc
         delta = max(
             abs(updated.alpha - current.alpha), abs(updated.beta - current.beta)
         )
         current = updated
-        if trajectory is not None:
-            trajectory.steps.append(
-                TrajectoryStep(
-                    iteration,
-                    current.alpha,
-                    current.beta,
-                    incomplete_log_likelihood(dataset, current),
-                )
-            )
-        if config.param_tolerance > 0.0 and delta < config.param_tolerance:
-            if trajectory is not None:
-                trajectory.converged_at = iteration
-            break
+    if trajectory is not None and delta < config.param_tolerance:
+        trajectory.converged_at = iteration
     report = EstimateReport(
         estimate=current,
         start=start,
-        iterations_run=iterations_run,
+        iterations_run=iteration,
+        log_likelihood=posterior.log_likelihood,
         trajectory=trajectory,
     )
     if truth is not None:
         truth_value = geometric_mean_likelihood(dataset, truth.clamped(eps))
-        estimate_value = geometric_mean_likelihood(dataset, current)
+        estimate_value = math.exp(posterior.log_likelihood / dataset.num_transitions)
         report.se_db = se_db_between(estimate_value, truth_value)
         report.gamma_percent = relative_error(current, truth)
     return report
@@ -246,7 +241,6 @@ def multi_start(
     if not starts:
         raise ValueError("need at least one start")
     reports: list[EstimateReport] = []
-    final_logliks: list[float] = []
     failures: list[str] = []
     for index, start in enumerate(starts):
         try:
@@ -255,11 +249,9 @@ def multi_start(
             failures.append(f"start {index} ({start.alpha}, {start.beta}): {exc}")
             continue
         reports.append(report)
-        final_logliks.append(incomplete_log_likelihood(dataset, report.estimate))
     if not reports:
         raise AllStartsFailedError("; ".join(failures))
-    n_transitions = dataset.num_transitions
-    values = [np.exp(ll / n_transitions) for ll in final_logliks]
+    values = [np.exp(r.log_likelihood / dataset.num_transitions) for r in reports]
     if truth is not None:
         target = geometric_mean_likelihood(
             dataset, truth.clamped(config.clamp_epsilon)
@@ -272,7 +264,7 @@ def multi_start(
             report.gamma_percent = relative_error(report.estimate, truth)
     best_index = min(
         range(len(reports)),
-        key=lambda i: (reports[i].se_db, -final_logliks[i], i),
+        key=lambda i: (reports[i].se_db, -reports[i].log_likelihood, i),
     )
     return reports[best_index], reports
 

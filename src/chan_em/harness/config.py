@@ -39,6 +39,10 @@ _STARTS_KEYS = {"heuristic_count"}
 
 # cap on worst-case simulated slots per channel; 5e7 fast-mixing slots peak near 0.9 GB
 MAX_SIMULATED_SLOTS = 50_000_000
+# caps on per-run work; the presets use at most 1000 iterations and 51 grid values
+MAX_EM_ITERATIONS = 100_000
+MAX_GRID_VALUES = 1001
+MAX_HEURISTIC_STARTS = 100
 
 
 @dataclass(frozen=True)
@@ -54,6 +58,11 @@ class GridSpec:
             raise ConfigError(f"grid bounds must satisfy 0 <= lo < hi <= 1, got {self.bounds}")
         if not 0.0 < self.step <= hi - lo:
             raise ConfigError(f"grid step must lie in (0, {hi - lo}], got {self.step}")
+        # values() returns round((hi - lo) / step) + 1 points; inf for a subnormal step
+        if (hi - lo) / self.step >= MAX_GRID_VALUES - 0.5:
+            raise ConfigError(
+                f"grid step {self.step} gives more than {MAX_GRID_VALUES} values per axis"
+            )
 
     def values(self) -> list[float]:
         """Grid coordinates lo, lo+step, ..., hi (step must tile the range)."""
@@ -98,9 +107,13 @@ class ExperimentConfig:
                 f"{self.observed_slots} observations with skips up to {longest} "
                 f"can span more than {MAX_SIMULATED_SLOTS} simulated slots"
             )
+        if self.em.max_iterations > MAX_EM_ITERATIONS:
+            raise ConfigError(f"em.max_iterations must be <= {MAX_EM_ITERATIONS}")
         if isinstance(self.starts, int):
-            if self.starts < 1:
-                raise ConfigError("heuristic_count must be >= 1")
+            if not 1 <= self.starts <= MAX_HEURISTIC_STARTS:
+                raise ConfigError(
+                    f"heuristic_count must lie in [1, {MAX_HEURISTIC_STARTS}]"
+                )
         elif not self.starts:
             raise ConfigError("starts must list at least one point")
         if self.master_seed < 0:

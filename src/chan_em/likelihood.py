@@ -12,6 +12,7 @@ tests and are deliberately naive.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,10 +52,15 @@ def n_step_matrix(params: ChannelParams, n: int) -> np.ndarray:
     return np.linalg.matrix_power(transition_matrix(params), n)
 
 
-def gap_posterior(
-    dataset: ObservedDataset, params: ChannelParams
-) -> tuple[float, SufficientStats]:
-    """Log-likelihood and posterior-expected transition counts in one pass.
+@dataclass(frozen=True)
+class GapPosterior(SufficientStats):
+    """Posterior-expected counts plus the log-likelihood that normalized them."""
+
+    log_likelihood: float
+
+
+def gap_posterior(dataset: ObservedDataset, params: ChannelParams) -> GapPosterior:
+    """Posterior-expected transition counts and log-likelihood in one pass.
 
     The kernel behind incomplete_log_likelihood and the E-step. It powers
     the block upper-triangular matrix of Van Loan (1978)
@@ -98,7 +104,7 @@ def gap_posterior(
             "has zero probability"
         )
     expected = counts @ (blocks[:, 1:] / prob[:, None])
-    return float(counts @ np.log(prob)), SufficientStats(*map(float, expected))
+    return GapPosterior(*map(float, expected), float(counts @ np.log(prob)))
 
 
 def incomplete_log_likelihood(dataset: ObservedDataset, params: ChannelParams) -> float:
@@ -114,7 +120,7 @@ def incomplete_log_likelihood(dataset: ObservedDataset, params: ChannelParams) -
         raise BoundaryParameterError(
             "incomplete_log_likelihood requires 0 < alpha, beta < 1"
         )
-    return gap_posterior(dataset, params)[0]
+    return gap_posterior(dataset, params).log_likelihood
 
 
 def geometric_mean_likelihood(dataset: ObservedDataset, params: ChannelParams) -> float:

@@ -31,6 +31,31 @@ from chan_em import (
 from conftest import random_small_instance
 
 
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """Parameters of every gap_posterior call, at both of its binding sites."""
+    from chan_em import em, likelihood
+
+    calls = []
+    original = likelihood.gap_posterior
+
+    def counted(dataset, params):
+        calls.append(params)
+        return original(dataset, params)
+
+    monkeypatch.setattr(likelihood, "gap_posterior", counted)
+    monkeypatch.setattr(em, "gap_posterior", counted)
+    return calls
+
+
+def assert_logliks_exact(dataset, report):
+    """Every log-likelihood a report carries equals a fresh evaluation."""
+    assert report.log_likelihood == incomplete_log_likelihood(dataset, report.estimate)
+    for step in report.trajectory.steps if report.trajectory else []:
+        at_step = ChannelParams(step.alpha, step.beta)
+        assert step.log_likelihood == incomplete_log_likelihood(dataset, at_step)
+
+
 class TestEStep:
     def test_no_hidden_slots_reduces_to_counts(self):
         rng = np.random.default_rng(20)
@@ -47,6 +72,7 @@ class TestEStep:
             fast = e_step(dataset, params)
             slow = brute_force_expected_stats(dataset, params)
             assert fast.as_tuple() == pytest.approx(slow.as_tuple(), abs=1e-10)
+            assert fast.log_likelihood == incomplete_log_likelihood(dataset, params)
 
     def test_mass_conservation(self):
         # expected transition counts always add up to the spanned window
@@ -111,7 +137,7 @@ def in_stats(t01: float, t10: float, n0: float, n1: float):
 
 
 class TestRunEm:
-    def test_complete_data_two_iterations(self):
+    def test_complete_data_two_iterations(self, kernel_calls):
         states = simulate_chain(ChannelParams(0.7, 0.4), 300, seed=5)
         dataset = ObservedDataset(times=np.arange(1, 301), states=states)
         report = run_em(
@@ -119,6 +145,8 @@ class TestRunEm:
             ChannelParams(0.5, 0.5),
             EmConfig(max_iterations=10, param_tolerance=1e-12),
         )
+        assert len(kernel_calls) == report.iterations_run + 1
+        assert_logliks_exact(dataset, report)
         mle = mle_complete(count_statistics(states))
         assert report.iterations_run <= 2
         assert report.estimate.alpha == pytest.approx(mle.alpha, abs=1e-9)
@@ -136,6 +164,17 @@ class TestRunEm:
         diffs = np.diff(logliks)
         assert (diffs >= -1e-9).all()
 
+    @pytest.mark.parametrize("record", [True, False])
+    def test_one_kernel_call_per_iterate(self, kernel_calls, record):
+        dataset = ObservedDataset(times=[1, 3, 6, 7], states=[0, 1, 0, 0])
+        report = run_em(
+            dataset, ChannelParams(0.4, 0.4),
+            EmConfig(max_iterations=7, record_trajectory=record),
+        )
+        assert len(kernel_calls) == 8
+        assert kernel_calls[-1] == report.estimate
+        assert_logliks_exact(dataset, report)
+
     def test_trajectory_indexing(self):
         dataset = ObservedDataset(times=[1, 3, 6, 7], states=[0, 1, 0, 0])
         report = run_em(
@@ -149,7 +188,7 @@ class TestRunEm:
         assert report.se_db is None
         assert report.gamma_percent is None
 
-    def test_convergence_tolerance_stops_early(self):
+    def test_convergence_tolerance_stops_early(self, kernel_calls):
         seq = simulate_chain(ChannelParams(0.8, 0.3), 20_000, seed=7)
         dataset = observe(seq, ObservationSchedule.fixed(1))
         report = run_em(
@@ -160,6 +199,9 @@ class TestRunEm:
         )
         assert report.iterations_run < 5000
         assert report.trajectory.converged_at == report.iterations_run
+        assert len(report.trajectory.steps) == report.iterations_run + 1
+        assert len(kernel_calls) == report.iterations_run + 1
+        assert_logliks_exact(dataset, report)
 
     def test_converged_point_solves_ratio_equations(self):
         # at the E-M fixed point the M-step ratios reproduce the parameters
@@ -248,7 +290,7 @@ class TestRelativeError:
 
 
 class TestMultiStart:
-    def test_winner_identity_and_scoring(self):
+    def test_winner_identity_and_scoring(self, kernel_calls):
         seq = simulate_chain(ChannelParams(0.8, 0.3), 40_000, seed=11)
         dataset = observe(seq, ObservationSchedule.fixed(4))
         starts = [ChannelParams(0.6, 0.5), ChannelParams(0.2, 0.9)]
@@ -256,12 +298,16 @@ class TestMultiStart:
             dataset, starts, EmConfig(max_iterations=100),
             truth=ChannelParams(0.8, 0.3),
         )
+        # one E-step per iterate of each run, plus the truth's score
+        assert len(kernel_calls) == 2 * 101 + 1
+        for report in reports:
+            assert_logliks_exact(dataset, report)
         assert winner in reports
         assert len(reports) == 2
         assert all(r.se_db is not None for r in reports)
         assert winner.se_db == min(r.se_db for r in reports)
 
-    def test_field_mode_winner_hits_floor(self):
+    def test_field_mode_winner_hits_floor(self, kernel_calls):
         from chan_em import SE_FLOOR_DB
 
         seq = simulate_chain(ChannelParams(0.8, 0.3), 40_000, seed=12)
@@ -271,6 +317,9 @@ class TestMultiStart:
             [ChannelParams(0.6, 0.5), ChannelParams(0.3, 0.1)],
             EmConfig(max_iterations=50),
         )
+        assert len(kernel_calls) == sum(r.iterations_run + 1 for r in reports)
+        for report in reports:
+            assert_logliks_exact(dataset, report)
         # the best run IS the target in field mode
         assert winner.se_db == SE_FLOOR_DB
 

@@ -117,6 +117,18 @@ class TestParseConfig:
         data = small_config(tmp_path, grid={"step": 0.5, "bounds": [0.0, 1.0]})
         assert parse_config(data).grid == GridSpec(step=0.5)
 
+    def test_work_caps_are_inclusive(self, tmp_path):
+        data = small_config(
+            tmp_path,
+            em={"max_iterations": 100_000},
+            grid={"step": 0.001},
+            starts={"heuristic_count": 100},
+        )
+        config = parse_config(data)
+        assert config.em.max_iterations == 100_000
+        assert len(config.grid.values()) == 1001
+        assert config.starts == 100
+
     @pytest.mark.parametrize(
         "mutation",
         [
@@ -148,6 +160,11 @@ class TestParseConfig:
             {"em": {"param_tolerance": 10**400}},
             {"schedule": {"kind": "fixed", "skip": 100_000_000}},
             {"observed_slots": 10**9},
+            {"em": {"max_iterations": 100_001}},
+            {"grid": {"step": 1e-5}},
+            {"grid": {"step": 0.0005}},
+            {"grid": {"step": 5e-324}},
+            {"starts": {"heuristic_count": 101}},
         ],
     )
     def test_invalid_configs_rejected(self, tmp_path, mutation):
