@@ -26,9 +26,10 @@ from chan_em.em import (
 )
 from chan_em.errors import ConfigError
 from chan_em.harness.config import ExperimentConfig, GridSpec, config_hash
-from chan_em.likelihood import squared_error_db
+from chan_em.likelihood import geometric_mean_likelihood, se_db_between
+from chan_em.likelihood import squared_error_db  # noqa: F401  kept for bench/tracing.py
 from chan_em.markov import ChannelParams, rank_channels, simulate_chain, utilization
-from chan_em.observation import ObservationSchedule, ObservedDataset
+from chan_em.observation import ObservationSchedule, ObservedDataset, write_slot_states
 
 # seed-derivation stream tags (second entry of the SeedSequence path)
 _STREAM_CHAIN = 0
@@ -140,13 +141,7 @@ def cmd_simulate(config: ExperimentConfig, resolved: dict) -> list[Path]:
     dataset.save(written[0], meta={**meta, "total_slots": int(dataset.times[-1])})
     if config.write_sequence:
         seq_path = out / "sequence.csv"
-        with seq_path.open("w") as fh:
-            for key, value in meta.items():
-                fh.write(f"# {key}: {value}\n")
-            fh.write("slot_index,state\n")
-            fh.writelines(
-                f"{t},{s}\n" for t, s in enumerate(sequence.tolist(), start=1)
-            )
+        write_slot_states(seq_path, np.arange(1, len(sequence) + 1), sequence, meta)
         written.append(seq_path)
     signatures, counts = dataset.gap_histogram
     hist: dict[int, int] = {}
@@ -244,14 +239,13 @@ def cmd_se_grid(config: ExperimentConfig, resolved: dict) -> list[Path]:
     )
     eps = config.em.clamp_epsilon
     values = grid.values()
-    truth_clamped = truth.clamped(eps)
+    reference = geometric_mean_likelihood(dataset, truth.clamped(eps))
     rows = []
     for alpha in values:
         for beta in values:
             candidate = ChannelParams(alpha, beta).clamped(eps)
-            rows.append(
-                (alpha, beta, squared_error_db(dataset, candidate, truth_clamped))
-            )
+            value = geometric_mean_likelihood(dataset, candidate)
+            rows.append((alpha, beta, se_db_between(value, reference)))
     path = _out_dir(config) / "se_grid.csv"
     _write_csv(
         path, _meta(config, resolved, "se-grid"), ["alpha", "beta", "se_db"], rows

@@ -4,12 +4,14 @@ An observer samples the channel state at an increasing sequence of slot
 indices (1-based, always starting at slot 1). Consecutive observations at
 slots t and t' leave t' - t - 1 hidden slots between them; the triple
 (start state, end state, hidden length) is all the likelihood ever needs
-from a gap, so datasets precompute a histogram of those signatures.
+from a gap, so datasets precompute a histogram of those signatures. The
+`slot_index,state` CSV of observed and full sequences is written and read
+only here.
 """
 
 from __future__ import annotations
 
-import csv
+import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -20,6 +22,7 @@ import numpy as np
 from chan_em.errors import InsufficientDataError
 
 _SCHEDULE_KINDS = ("fixed", "random-uniform")
+_WRITE_BLOCK = 1 << 16  # rows per formatted write of a slot-state CSV
 
 
 class Gap(NamedTuple):
@@ -170,32 +173,34 @@ class ObservedDataset:
 
     def save(self, path: str | Path, meta: dict[str, object] | None = None) -> None:
         """Write `slot_index,state` CSV; optional metadata as leading # lines."""
-        path = Path(path)
-        with path.open("w", newline="") as fh:
-            if meta:
-                for key, value in meta.items():
-                    fh.write(f"# {key}: {value}\n")
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["slot_index", "state"])
-            writer.writerows(zip(self.times.tolist(), self.states.tolist()))
+        write_slot_states(path, self.times, self.states, meta)
 
     @classmethod
     def load(cls, path: str | Path) -> ObservedDataset:
-        """Read a CSV written by save(); the round trip is exact."""
-        times: list[int] = []
-        states: list[int] = []
-        with Path(path).open(newline="") as fh:
-            rows = (line for line in fh if not line.startswith("#"))
-            reader = csv.reader(rows)
-            header = next(reader)
-            if [h.strip() for h in header] != ["slot_index", "state"]:
+        """Read a CSV written by save(); every row must hold two integers."""
+        with Path(path).open() as fh:
+            header = next((line for line in fh if not line.startswith("#")), "")
+            if [h.strip() for h in header.split(",")] != ["slot_index", "state"]:
                 raise ValueError(f"unexpected header {header!r}")
-            for row in reader:
-                if not row:
-                    continue
-                times.append(int(row[0]))
-                states.append(int(row[1]))
-        return cls(times=np.asarray(times), states=np.asarray(states))
+            with warnings.catch_warnings():  # no rows: InsufficientDataError below
+                warnings.simplefilter("ignore", UserWarning)
+                rows = np.loadtxt(fh, delimiter=",", dtype=np.int64, ndmin=2)
+        if rows.size and rows.shape[1] != 2:
+            raise ValueError(f"rows must hold 2 fields, got {rows.shape[1]}")
+        return cls(*rows.reshape(-1, 2).T)  # columns: times, states
+
+
+def write_slot_states(
+    path: str | Path, times: np.ndarray, states: np.ndarray, meta: dict | None = None
+) -> None:
+    """Write `slot_index,state` rows, one % operation per _WRITE_BLOCK rows."""
+    with Path(path).open("w", newline="\n") as fh:
+        fh.writelines(f"# {key}: {value}\n" for key, value in (meta or {}).items())
+        fh.write("slot_index,state\n")
+        for start in range(0, len(times), _WRITE_BLOCK):
+            stop = start + _WRITE_BLOCK
+            block = np.column_stack((times[start:stop], states[start:stop]))
+            fh.write(("%d,%d\n" * len(block)) % tuple(block.ravel().tolist()))
 
 
 def observe(sequence: np.ndarray, schedule: ObservationSchedule) -> ObservedDataset:

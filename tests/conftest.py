@@ -1,8 +1,9 @@
-"""Shared test helpers: random small instances for oracle comparisons."""
+"""Shared test helpers: random small instances, a gap-kernel call counter."""
 
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
 from chan_em import ChannelParams, ObservedDataset
 
@@ -28,3 +29,26 @@ def random_small_instance(
         float(rng.uniform(0.1, 0.9)), float(rng.uniform(0.1, 0.9))
     )
     return ObservedDataset(times=times, states=states), params
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """Parameters of every gap_posterior call, at each module that binds it.
+
+    experiments binds none today: its scores reach the kernel through em and
+    likelihood, so their two sites count every call it makes.
+    """
+    from chan_em import em, likelihood
+    from chan_em.harness import experiments
+
+    calls = []
+    original = likelihood.gap_posterior
+
+    def counted(dataset, params):
+        calls.append(params)
+        return original(dataset, params)
+
+    for module in (likelihood, em, experiments):
+        if "gap_posterior" in vars(module):
+            monkeypatch.setattr(module, "gap_posterior", counted)
+    return calls

@@ -31,23 +31,6 @@ from chan_em import (
 from conftest import random_small_instance
 
 
-@pytest.fixture
-def kernel_calls(monkeypatch):
-    """Parameters of every gap_posterior call, at both of its binding sites."""
-    from chan_em import em, likelihood
-
-    calls = []
-    original = likelihood.gap_posterior
-
-    def counted(dataset, params):
-        calls.append(params)
-        return original(dataset, params)
-
-    monkeypatch.setattr(likelihood, "gap_posterior", counted)
-    monkeypatch.setattr(em, "gap_posterior", counted)
-    return calls
-
-
 def assert_logliks_exact(dataset, report):
     """Every log-likelihood a report carries equals a fresh evaluation."""
     assert report.log_likelihood == incomplete_log_likelihood(dataset, report.estimate)

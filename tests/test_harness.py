@@ -314,10 +314,12 @@ class TestCmdSimulate:
         second = cmd_simulate(config, resolved)[0].read_bytes()
         assert first == second
 
-    def test_zero_skip_observes_everything(self, tmp_path):
+    # 65 537 rows put sequence.csv across the writer's 65 536-row block
+    @pytest.mark.parametrize("observed_slots", [40, 65_537])
+    def test_zero_skip_observes_everything(self, tmp_path, observed_slots):
         resolved = small_config(
             tmp_path,
-            observed_slots=40,
+            observed_slots=observed_slots,
             schedule={"kind": "fixed", "skip": 0},
             write_sequence=True,
         )
@@ -325,7 +327,7 @@ class TestCmdSimulate:
         observed, seq_path = cmd_simulate(config, resolved)
         obs_rows = data_rows(observed)
         seq_rows = data_rows(seq_path)
-        assert len(obs_rows) == len(seq_rows) == 40
+        assert len(obs_rows) == len(seq_rows) == observed_slots
         assert obs_rows == seq_rows
 
     def test_output_round_trips_through_load(self, tmp_path):
@@ -462,6 +464,15 @@ class TestCmdSeGrid:
             if on < above and on < below:
                 wins += 1
         assert wins >= 5, f"line-minimum property held at {wins}/6 points"
+
+    def test_truth_scored_once(self, tmp_path, kernel_calls):
+        resolved = small_config(tmp_path, observed_slots=200, grid={"step": 0.25})
+        config = parse_config(resolved)
+        path = cmd_se_grid(config, resolved)[0]
+        assert len(data_rows(path)) == 25
+        # one kernel call per grid point plus one for the truth
+        assert len(kernel_calls) == 26
+        assert kernel_calls[0] == config.single_channel().clamped(config.em.clamp_epsilon)
 
 
 @pytest.fixture(scope="module")

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -170,13 +172,20 @@ class TestGaps:
 
 
 class TestCsvRoundTrip:
-    def test_exact_round_trip(self, tmp_path):
+    # 65 537 rows cross the writer's 65 536-row block boundary; both counts
+    # cross the 9/10 and 99/100 digit boundaries of the slot index
+    @pytest.mark.parametrize("k", [200, 65_537])
+    def test_exact_round_trip(self, tmp_path, k):
         rng = np.random.default_rng(9)
-        k = 200
         times = np.concatenate(([1], 1 + np.cumsum(rng.integers(1, 8, size=k - 1))))
         dataset = ObservedDataset(times=times, states=rng.integers(0, 2, size=k))
+        assert times[-1] > 100  # slot indices of one, two and three digits
         path = tmp_path / "observed.csv"
         dataset.save(path)
+        expected = "slot_index,state\n" + "".join(
+            f"{t},{s}\n" for t, s in zip(times.tolist(), dataset.states.tolist())
+        )
+        assert path.read_bytes() == expected.encode()
         loaded = ObservedDataset.load(path)
         np.testing.assert_array_equal(loaded.times, dataset.times)
         np.testing.assert_array_equal(loaded.states, dataset.states)
@@ -198,3 +207,32 @@ class TestCsvRoundTrip:
         path.write_text("a,b\n1,0\n")
         with pytest.raises(ValueError):
             ObservedDataset.load(path)
+        path.write_text("# tool: chan-em\n")  # no header at all
+        with pytest.raises(ValueError):
+            ObservedDataset.load(path)
+
+    @pytest.mark.parametrize(
+        "body",
+        ["1,0\n2\n", "1,0\n2,1,7\n", "1\n0\n3\n1\n", "1,0\n2.5,1\n"],
+        ids=["one-field", "three-fields", "one-column-not-pairs", "non-integer"],
+    )
+    def test_rejects_malformed_rows(self, tmp_path, body):
+        path = tmp_path / "bad.csv"
+        path.write_text("slot_index,state\n" + body)
+        with pytest.raises(ValueError):
+            ObservedDataset.load(path)
+
+    def test_header_only_is_insufficient(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("# tool: chan-em\nslot_index,state\n\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InsufficientDataError):
+                ObservedDataset.load(path)
+
+    def test_blank_lines_and_spaces_accepted(self, tmp_path):
+        path = tmp_path / "loose.csv"
+        path.write_text("slot_index, state\n1, 0\n\n 4 ,1\n\n")
+        loaded = ObservedDataset.load(path)
+        np.testing.assert_array_equal(loaded.times, [1, 4])
+        np.testing.assert_array_equal(loaded.states, [0, 1])
