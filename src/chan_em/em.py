@@ -114,16 +114,6 @@ class EstimateReport:
         }
         if self.gamma_percent is not None:
             out["gamma_percent"] = self.gamma_percent
-        if self.trajectory is not None:
-            out["trajectory"] = [
-                {
-                    "p": s.iteration,
-                    "alpha": s.alpha,
-                    "beta": s.beta,
-                    "loglik": s.log_likelihood,
-                }
-                for s in self.trajectory.steps
-            ]
         return out
 
 

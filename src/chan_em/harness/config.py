@@ -13,29 +13,14 @@ import json
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable, Collection
 
 from chan_em.em import EmConfig
 from chan_em.errors import ConfigError
 from chan_em.markov import ChannelParams
 from chan_em.observation import ObservationSchedule
 
-_TOP_KEYS = {
-    "true_params",
-    "schedule",
-    "observed_slots",
-    "starts",
-    "em",
-    "master_seed",
-    "output_dir",
-    "grid",
-    "write_sequence",
-}
-_PARAM_KEYS = {"alpha", "beta"}
-_SCHEDULE_KEYS = {"kind", "skip", "support", "seed"}
-_EM_KEYS = {"max_iterations", "param_tolerance", "clamp_epsilon", "record_trajectory"}
-_GRID_KEYS = {"step", "bounds"}
-_STARTS_KEYS = {"heuristic_count"}
+Parser = Callable[[Any, str], Any]  # (JSON value, where it sits) -> typed value
 
 # cap on worst-case simulated slots per channel; 5e7 fast-mixing slots peak near 0.9 GB
 MAX_SIMULATED_SLOTS = 50_000_000
@@ -63,15 +48,13 @@ class GridSpec:
             raise ConfigError(
                 f"grid step {self.step} gives more than {MAX_GRID_VALUES} values per axis"
             )
+        if abs(lo + round((hi - lo) / self.step) * self.step - hi) > 1e-9:
+            raise ConfigError(f"grid step {self.step} does not tile [{lo}, {hi}] evenly")
 
     def values(self) -> list[float]:
-        """Grid coordinates lo, lo+step, ..., hi (step must tile the range)."""
+        """Grid coordinates lo, lo+step, ..., hi."""
         lo, hi = self.bounds
         n = round((hi - lo) / self.step)
-        if abs(lo + n * self.step - hi) > 1e-9:
-            raise ConfigError(
-                f"grid step {self.step} does not tile [{lo}, {hi}] evenly"
-            )
         return [lo + i * self.step for i in range(n + 1)]
 
 
@@ -89,9 +72,9 @@ class ExperimentConfig:
     schedule: ObservationSchedule
     observed_slots: int
     starts: tuple[ChannelParams, ...] | int
-    em: EmConfig
     master_seed: int
     output_dir: Path
+    em: EmConfig = EmConfig()
     grid: GridSpec | None = None
     write_sequence: bool = False
 
@@ -127,10 +110,13 @@ class ExperimentConfig:
         return self.true_params[0]
 
 
-def _require_keys(section: dict, allowed: set[str], where: str) -> None:
-    unknown = set(section) - allowed
+def _require_keys(section: dict, allowed: Collection[str], where: str) -> None:
+    unknown = set(section).difference(allowed)
     if unknown:
-        raise ConfigError(f"unknown {where} field(s): {', '.join(sorted(unknown))}")
+        raise ConfigError(
+            f"unknown {where} field(s): {', '.join(sorted(unknown))} "
+            f"(allowed: {', '.join(sorted(allowed))})"
+        )
 
 
 def _as_int(value: Any, where: str) -> int:
@@ -147,147 +133,101 @@ def _as_number(value: Any, where: str) -> float:
     return float(value)
 
 
-def _parse_params(value: Any, where: str) -> ChannelParams:
-    if not isinstance(value, dict):
-        raise ConfigError(f"{where} must be an object with alpha and beta")
-    _require_keys(value, _PARAM_KEYS, where)
-    if "alpha" not in value or "beta" not in value:
-        raise ConfigError(f"{where} needs both alpha and beta")
-    try:
-        return ChannelParams(
-            _as_number(value["alpha"], f"{where}.alpha"),
-            _as_number(value["beta"], f"{where}.beta"),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
+def _as_bool(value: Any, where: str) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigError(f"{where} must be a boolean, got {value!r}")
+    return value
 
 
-def _parse_schedule(value: Any) -> ObservationSchedule:
-    if not isinstance(value, dict) or "kind" not in value:
-        raise ConfigError("schedule must be an object with a kind")
-    _require_keys(value, _SCHEDULE_KEYS, "schedule")
-    kind = value["kind"]
-    try:
-        if kind == "fixed":
-            if "skip" not in value:
-                raise ConfigError("fixed schedule needs skip")
-            extras = set(value) - {"kind", "skip"}
-            if extras:
-                raise ConfigError(
-                    f"fixed schedule does not take: {', '.join(sorted(extras))}"
-                )
-            return ObservationSchedule.fixed(_as_int(value["skip"], "schedule.skip"))
-        if kind == "random-uniform":
-            if "support" not in value:
-                raise ConfigError("random-uniform schedule needs support")
-            if "skip" in value:
-                raise ConfigError("random-uniform schedule does not take: skip")
-            support = value["support"]
-            if not isinstance(support, list):
-                raise ConfigError("schedule.support must be a list of integers")
-            support_ints = tuple(
-                _as_int(s, "schedule.support entry") for s in support
-            )
-            seed = value.get("seed")
-            if seed is not None:
-                seed = _as_int(seed, "schedule.seed")
-            return ObservationSchedule(
-                kind="random-uniform", support=support_ints, seed=seed
-            )
-        raise ConfigError(f"schedule.kind must be 'fixed' or 'random-uniform', got {kind!r}")
-    except ValueError as exc:
-        raise ConfigError(f"schedule: {exc}") from exc
+def _as_str(value: Any, where: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"{where} must be a string, got {value!r}")
+    return value
 
 
-def _parse_em(value: Any) -> EmConfig:
-    if value is None:
-        return EmConfig()
-    if not isinstance(value, dict):
-        raise ConfigError("em must be an object")
-    _require_keys(value, _EM_KEYS, "em")
-    kwargs: dict[str, Any] = {}
-    if "max_iterations" in value:
-        kwargs["max_iterations"] = _as_int(value["max_iterations"], "em.max_iterations")
-    if "param_tolerance" in value:
-        kwargs["param_tolerance"] = _as_number(
-            value["param_tolerance"], "em.param_tolerance"
-        )
-    if "clamp_epsilon" in value:
-        kwargs["clamp_epsilon"] = _as_number(value["clamp_epsilon"], "em.clamp_epsilon")
-    if "record_trajectory" in value:
-        if not isinstance(value["record_trajectory"], bool):
-            raise ConfigError("em.record_trajectory must be a boolean")
-        kwargs["record_trajectory"] = value["record_trajectory"]
-    try:
-        return EmConfig(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"em: {exc}") from exc
+def _list_of(parse: Parser, length: int | None = None) -> Parser:
+    """Parser of a JSON list (of exactly `length` entries, if given) into a tuple."""
+
+    def parse_list(value: Any, where: str) -> tuple:
+        if not isinstance(value, list) or length not in (None, len(value)):
+            size = "" if length is None else f" of {length}"
+            raise ConfigError(f"{where} must be a list{size}, got {value!r}")
+        return tuple(parse(entry, f"{where}[{i}]") for i, entry in enumerate(value))
+
+    return parse_list
 
 
-def _parse_starts(value: Any) -> tuple[ChannelParams, ...] | int:
-    if isinstance(value, dict):
-        _require_keys(value, _STARTS_KEYS, "starts")
-        if "heuristic_count" not in value:
-            raise ConfigError("starts object needs heuristic_count")
-        return _as_int(value["heuristic_count"], "starts.heuristic_count")
-    if isinstance(value, list):
-        return tuple(
-            _parse_params(entry, f"starts[{i}]") for i, entry in enumerate(value)
-        )
-    raise ConfigError("starts must be a list of points or {\"heuristic_count\": n}")
+def _section(build: Callable[..., Any], fields: dict[str, Parser]) -> Parser:
+    """Parser of a JSON object whose keys are `fields`, each converted by its parser.
+
+    build(**converted) validates the section: a missing field (TypeError) or
+    a rule it breaks (ValueError) becomes a ConfigError naming `where`.
+    """
+
+    def parse_section(value: Any, where: str) -> Any:
+        if not isinstance(value, dict):
+            raise ConfigError(f"{where} must be an object, got {value!r}")
+        _require_keys(value, fields, where)
+        kwargs = {key: fields[key](item, f"{where}.{key}") for key, item in value.items()}
+        try:
+            return build(**kwargs)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{where}: {exc}") from exc
+
+    return parse_section
 
 
-def _parse_grid(value: Any) -> GridSpec:
-    if not isinstance(value, dict):
-        raise ConfigError("grid must be an object")
-    _require_keys(value, _GRID_KEYS, "grid")
-    kwargs: dict[str, Any] = {}
-    if "step" in value:
-        kwargs["step"] = _as_number(value["step"], "grid.step")
-    if "bounds" in value:
-        bounds = value["bounds"]
-        if not isinstance(bounds, list) or len(bounds) != 2:
-            raise ConfigError("grid.bounds must be a two-element list")
-        kwargs["bounds"] = (
-            _as_number(bounds[0], "grid.bounds[0]"),
-            _as_number(bounds[1], "grid.bounds[1]"),
-        )
-    return GridSpec(**kwargs)
+_points = _list_of(_section(ChannelParams, {"alpha": _as_number, "beta": _as_number}))
+_heuristic_count = _section(
+    lambda heuristic_count: heuristic_count, {"heuristic_count": _as_int}
+)
+
+
+def _channels(value: Any, where: str) -> tuple[ChannelParams, ...]:
+    return _points([value] if isinstance(value, dict) else value, where)
+
+
+def _starts(value: Any, where: str) -> tuple[ChannelParams, ...] | int:
+    return (_heuristic_count if isinstance(value, dict) else _points)(value, where)
+
+
+_config = _section(
+    ExperimentConfig,
+    {
+        "true_params": _channels,
+        "schedule": _section(
+            ObservationSchedule,
+            {
+                "kind": _as_str,
+                "skip": _as_int,
+                "support": _list_of(_as_int),
+                "seed": _as_int,
+            },
+        ),
+        "observed_slots": _as_int,
+        "starts": _starts,
+        "em": _section(
+            EmConfig,
+            {
+                "max_iterations": _as_int,
+                "param_tolerance": _as_number,
+                "clamp_epsilon": _as_number,
+                "record_trajectory": _as_bool,
+            },
+        ),
+        "master_seed": _as_int,
+        "output_dir": lambda value, where: Path(_as_str(value, where)),
+        "grid": _section(
+            GridSpec, {"step": _as_number, "bounds": _list_of(_as_number, length=2)}
+        ),
+        "write_sequence": _as_bool,
+    },
+)
 
 
 def parse_config(data: Any) -> ExperimentConfig:
     """Validate a plain JSON object and build the typed config."""
-    if not isinstance(data, dict):
-        raise ConfigError("config must be a JSON object")
-    _require_keys(data, _TOP_KEYS, "config")
-    for required in ("true_params", "schedule", "observed_slots", "starts",
-                     "master_seed", "output_dir"):
-        if required not in data:
-            raise ConfigError(f"config is missing required field {required!r}")
-    raw_params = data["true_params"]
-    if isinstance(raw_params, dict):
-        raw_params = [raw_params]
-    if not isinstance(raw_params, list):
-        raise ConfigError("true_params must be an object or a list of objects")
-    channels = tuple(
-        _parse_params(entry, f"true_params[{i}]") for i, entry in enumerate(raw_params)
-    )
-    if not isinstance(data["output_dir"], str):
-        raise ConfigError("output_dir must be a string path")
-    write_sequence = data.get("write_sequence", False)
-    if not isinstance(write_sequence, bool):
-        raise ConfigError("write_sequence must be a boolean")
-    return ExperimentConfig(
-        true_params=channels,
-        schedule=_parse_schedule(data["schedule"]),
-        observed_slots=_as_int(data["observed_slots"], "observed_slots"),
-        starts=_parse_starts(data["starts"]),
-        em=_parse_em(data.get("em")),
-        master_seed=_as_int(data["master_seed"], "master_seed"),
-        output_dir=Path(data["output_dir"]),
-        grid=_parse_grid(data["grid"]) if "grid" in data else None,
-        write_sequence=write_sequence,
-    )
+    return _config(data, "config")
 
 
 def load_config_file(path: str | Path) -> dict:

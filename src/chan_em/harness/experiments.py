@@ -125,10 +125,6 @@ def _ensure_recording(config: ExperimentConfig) -> ExperimentConfig:
     return dataclasses.replace(config, em=em)
 
 
-def _strip_trajectory(report: EstimateReport) -> EstimateReport:
-    return dataclasses.replace(report, trajectory=None)
-
-
 def cmd_simulate(config: ExperimentConfig, resolved: dict) -> list[Path]:
     """Realize the (single) channel and write the observed dataset CSV."""
     truth = config.single_channel()
@@ -193,7 +189,7 @@ def cmd_trajectories(config: ExperimentConfig, resolved: dict) -> list[Path]:
         {
             "meta": meta,
             "winner_index": reports.index(winner),
-            "estimates": [_strip_trajectory(r).to_json_dict() for r in reports],
+            "estimates": [r.to_json_dict() for r in reports],
         },
     )
     written.append(summary_path)
@@ -318,7 +314,7 @@ def cmd_multichannel(config: ExperimentConfig, resolved: dict) -> list[Path]:
                     "index": index,
                     "true_alpha": truth.alpha,
                     "true_beta": truth.beta,
-                    **_strip_trajectory(report).to_json_dict(),
+                    **report.to_json_dict(),
                 }
                 for index, (truth, report) in enumerate(results)
             ],

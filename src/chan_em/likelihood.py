@@ -228,24 +228,13 @@ def se_db_between(value: float, reference: float) -> float:
 
 
 def squared_error_db(
-    dataset: ObservedDataset,
-    estimate: ChannelParams,
-    reference: ChannelParams,
-    mode: str = "normalized",
+    dataset: ObservedDataset, estimate: ChannelParams, reference: ChannelParams
 ) -> float:
     """Likelihood-gap score of an estimate against reference parameters.
 
-    mode "normalized" (default) compares per-transition likelihoods, which
-    stays finite at any dataset size; mode "raw" compares the unnormalized
-    observation probabilities and is only meaningful for small windows
-    (it underflows to zero on long ones).
+    Compares per-transition likelihoods, which stays finite at any dataset size.
     """
-    if mode == "normalized":
-        value = geometric_mean_likelihood(dataset, estimate)
-        ref = geometric_mean_likelihood(dataset, reference)
-    elif mode == "raw":
-        value = math.exp(incomplete_log_likelihood(dataset, estimate))
-        ref = math.exp(incomplete_log_likelihood(dataset, reference))
-    else:
-        raise ValueError(f"mode must be 'normalized' or 'raw', got {mode!r}")
-    return se_db_between(value, ref)
+    return se_db_between(
+        geometric_mean_likelihood(dataset, estimate),
+        geometric_mean_likelihood(dataset, reference),
+    )

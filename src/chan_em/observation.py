@@ -65,6 +65,8 @@ class ObservationSchedule:
                 raise ValueError("support entries must be integers >= 1")
             if self.skip is not None:
                 raise ValueError("random-uniform schedule takes no fixed skip")
+            if self.seed is not None and self.seed < 0:
+                raise ValueError(f"seed must be non-negative, got {self.seed}")
             object.__setattr__(self, "support", tuple(int(s) for s in self.support))
 
     @classmethod

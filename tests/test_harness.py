@@ -66,6 +66,48 @@ def meta_of(path: Path) -> dict[str, str]:
     return meta
 
 
+# each entry, merged into small_config at the top level, makes the config invalid
+INVALID_MUTATIONS = [
+    {"unknown_top": 1},
+    {"schedule": {"kind": "fixed", "skip": 4, "bogus": 1}},
+    {"schedule": {"kind": "fixed", "skip": 4, "seed": 3}},
+    {"schedule": {"kind": "random-uniform", "support": [1, 2], "skip": 3}},
+    {"schedule": {"kind": "poisson"}},
+    {"em": {"max_iterations": 10, "bogus": 1}},
+    {"grid": {"step": 0.02, "extra": True}},
+    {"starts": {"heuristic_count": 3, "extra": 1}},
+    {"starts": "many"},
+    {"starts": []},
+    {"starts": {"heuristic_count": 0}},
+    {"true_params": []},
+    {"true_params": [{"alpha": 0.5}]},
+    {"true_params": [{"alpha": 1.5, "beta": 0.5}]},
+    {"observed_slots": 1},
+    {"observed_slots": True},
+    {"observed_slots": "many"},
+    {"master_seed": -1},
+    {"master_seed": 2.5},
+    {"em": {"record_trajectory": 1}},
+    {"grid": {"bounds": [0.0, 0.5, 1.0]}},
+    {"output_dir": 7},
+    {"write_sequence": "yes"},
+    {"em": {"param_tolerance": float("inf")}},
+    {"em": {"param_tolerance": float("nan")}},
+    {"em": {"param_tolerance": 10**400}},
+    {"schedule": {"kind": "fixed", "skip": 100_000_000}},
+    {"observed_slots": 10**9},
+    {"em": {"max_iterations": 100_001}},
+    {"grid": {"step": 1e-5}},
+    {"grid": {"step": 0.0005}},
+    {"grid": {"step": 5e-324}},
+    {"starts": {"heuristic_count": 101}},
+    {"schedule": {"kind": "random-uniform", "support": [1, 2], "seed": -1}},
+    {"schedule": {"kind": "random-uniform", "support": [1, 2], "seed": None}},
+    {"grid": {"step": 0.03}},
+    {"em": None},
+]
+
+
 class TestGridSpec:
     def test_default_grid_has_51_points_per_axis(self):
         values = GridSpec().values()
@@ -129,44 +171,7 @@ class TestParseConfig:
         assert len(config.grid.values()) == 1001
         assert config.starts == 100
 
-    @pytest.mark.parametrize(
-        "mutation",
-        [
-            {"unknown_top": 1},
-            {"schedule": {"kind": "fixed", "skip": 4, "bogus": 1}},
-            {"schedule": {"kind": "fixed", "skip": 4, "seed": 3}},
-            {"schedule": {"kind": "random-uniform", "support": [1, 2], "skip": 3}},
-            {"schedule": {"kind": "poisson"}},
-            {"em": {"max_iterations": 10, "bogus": 1}},
-            {"grid": {"step": 0.02, "extra": True}},
-            {"starts": {"heuristic_count": 3, "extra": 1}},
-            {"starts": "many"},
-            {"starts": []},
-            {"starts": {"heuristic_count": 0}},
-            {"true_params": []},
-            {"true_params": [{"alpha": 0.5}]},
-            {"true_params": [{"alpha": 1.5, "beta": 0.5}]},
-            {"observed_slots": 1},
-            {"observed_slots": True},
-            {"observed_slots": "many"},
-            {"master_seed": -1},
-            {"master_seed": 2.5},
-            {"em": {"record_trajectory": 1}},
-            {"grid": {"bounds": [0.0, 0.5, 1.0]}},
-            {"output_dir": 7},
-            {"write_sequence": "yes"},
-            {"em": {"param_tolerance": float("inf")}},
-            {"em": {"param_tolerance": float("nan")}},
-            {"em": {"param_tolerance": 10**400}},
-            {"schedule": {"kind": "fixed", "skip": 100_000_000}},
-            {"observed_slots": 10**9},
-            {"em": {"max_iterations": 100_001}},
-            {"grid": {"step": 1e-5}},
-            {"grid": {"step": 0.0005}},
-            {"grid": {"step": 5e-324}},
-            {"starts": {"heuristic_count": 101}},
-        ],
-    )
+    @pytest.mark.parametrize("mutation", INVALID_MUTATIONS)
     def test_invalid_configs_rejected(self, tmp_path, mutation):
         data = small_config(tmp_path)
         data.update(mutation)
@@ -650,6 +655,15 @@ class TestCli:
     def test_missing_config_file(self, tmp_path, capsys):
         missing = tmp_path / "nope.json"
         assert main(["simulate", "--config", str(missing)]) == 2
+
+    @pytest.mark.parametrize("mutation", INVALID_MUTATIONS)
+    def test_invalid_config_exits_2_without_traceback(self, tmp_path, capsys, mutation):
+        path = self.config_file(tmp_path)
+        path.write_text(json.dumps({**json.loads(path.read_text()), **mutation}))
+        assert main(["table1", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err
+        assert "Traceback" not in err
 
     def test_invalid_json_config(self, tmp_path, capsys):
         path = tmp_path / "broken.json"

@@ -272,15 +272,6 @@ class TestSquaredErrorDb:
         params = ChannelParams(0.6, 0.4)
         assert squared_error_db(dataset, params, params) == SE_FLOOR_DB
 
-    def test_raw_mode_example(self):
-        # single gap 0 -> 1 over 4 steps: |0.5 - 0.7272|^2 in dB
-        dataset = ObservedDataset(times=[1, 5], states=[0, 1])
-        value = squared_error_db(
-            dataset, ChannelParams(0.5, 0.5), ChannelParams(0.8, 0.3), mode="raw"
-        )
-        assert value == pytest.approx(10 * math.log10((0.5 - 0.7272) ** 2), abs=1e-9)
-        assert value == pytest.approx(-12.87, abs=0.01)
-
     def test_normalized_mode_uses_per_transition_value(self):
         dataset = ObservedDataset(times=[1, 5], states=[0, 1])
         est, ref = ChannelParams(0.5, 0.5), ChannelParams(0.8, 0.3)
@@ -289,13 +280,6 @@ class TestSquaredErrorDb:
             geometric_mean_likelihood(dataset, ref),
         )
         assert squared_error_db(dataset, est, ref) == expected
-
-    def test_bad_mode(self):
-        dataset = ObservedDataset(times=[1, 2], states=[0, 1])
-        with pytest.raises(ValueError):
-            squared_error_db(
-                dataset, ChannelParams(0.5, 0.5), ChannelParams(0.5, 0.5), mode="x"
-            )
 
     def test_floor_applied_to_tiny_gaps(self):
         assert se_db_between(0.5, 0.5 + 1e-17) == SE_FLOOR_DB

@@ -37,6 +37,11 @@ class TestSchedule:
         with pytest.raises(ValueError):
             ObservationSchedule(kind="random-uniform", support=(2,), skip=1, seed=1)
 
+    def test_negative_seed_rejected(self):
+        # np.random.default_rng would raise only later, when the schedule draws
+        with pytest.raises(ValueError, match="seed"):
+            ObservationSchedule.random_uniform((1, 2), seed=-1)
+
     def test_fixed_times(self):
         times = ObservationSchedule.fixed(4).times_for_count(5)
         np.testing.assert_array_equal(times, [1, 6, 11, 16, 21])
