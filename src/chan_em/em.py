@@ -10,10 +10,12 @@ a two-sided bridge identity. Gaps with the same (a, b, g) signature share
 the same expectation, so the whole E-step runs over the signature histogram.
 The bridge sums are blocks of one power of a 10x10 block upper-triangular
 matrix (Van Loan 1978), formed for all signatures at once by repeated
-squaring in likelihood.gap_posterior; one E-step costs O(signatures x log
-max gap) and also yields the log-likelihood. The M-step is the complete-data
-ratio estimator on the expected counts, clamped into the open unit square so
-log-likelihoods stay finite.
+squaring in likelihood.gap_posterior. Its dataset-only arrays are built once
+per dataset (ObservedDataset.gap_plan), so one E-step costs the bit loop over
+the signatures, O(signatures x log max gap), and also yields the
+log-likelihood. The M-step is the complete-data ratio estimator on the
+expected counts, clamped into the open unit square so log-likelihoods stay
+finite.
 """
 
 from __future__ import annotations

@@ -78,8 +78,6 @@ def resolve_config(args: argparse.Namespace) -> tuple[ExperimentConfig, dict]:
     if not resolved:
         raise ConfigError("provide --preset, --config, or both")
     if args.seed is not None:
-        if args.seed < 0:
-            raise ConfigError("--seed must be non-negative")
         resolved["master_seed"] = args.seed
     if args.out is not None:
         resolved["output_dir"] = args.out

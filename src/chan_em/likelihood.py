@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -59,6 +60,50 @@ class GapPosterior(SufficientStats):
     log_likelihood: float
 
 
+# Van Loan's M as (row, column, index into P.ravel()) triples: P on the five
+# diagonal blocks, then C_01, C_10, C_from0 and C_from1 in the first block row
+_M_ROW, _M_COL, _M_SRC = np.array(
+    [
+        (2 * k + i, 2 * k + j, 2 * i + j)
+        for k in range(5)
+        for i in range(2)
+        for j in range(2)
+    ]
+    + [(0, 3, 1), (1, 4, 2), (0, 6, 0), (0, 7, 1), (1, 8, 2), (1, 9, 3)]
+).T
+
+
+class GapPlan(NamedTuple):
+    """gap_posterior's arrays that depend only on the dataset.
+
+    One row per gap signature: start and end state, steps = hidden + 1, the
+    multiplicity, the one-hot row of M that starts the power, one (S, 1)
+    mask per bit of steps (lowest first), and the flat index into the
+    (S, 10) result rows of entry (start, end) of each of the five blocks.
+    """
+
+    start: np.ndarray
+    end: np.ndarray
+    steps: np.ndarray
+    counts: np.ndarray
+    rows: np.ndarray
+    bits: tuple[np.ndarray, ...]
+    gather: np.ndarray
+
+
+def build_gap_plan(dataset: ObservedDataset) -> GapPlan:
+    """The plan of one dataset; ObservedDataset.gap_plan caches it."""
+    signatures, counts = dataset.gap_histogram
+    start, end, hidden = signatures.T
+    steps = hidden + 1
+    bits = tuple(
+        ((steps >> bit) & 1)[:, None] == 1
+        for bit in range(int(steps.max()).bit_length())
+    )
+    gather = (np.arange(len(steps)) * 10)[:, None] + 2 * np.arange(5) + end[:, None]
+    return GapPlan(start, end, steps, counts, np.eye(10)[start], bits, gather)
+
+
 def gap_posterior(dataset: ObservedDataset, params: ChannelParams) -> GapPosterior:
     """Posterior-expected transition counts and log-likelihood in one pass.
 
@@ -73,38 +118,33 @@ def gap_posterior(dataset: ObservedDataset, params: ChannelParams) -> GapPosteri
     or 1; so entry (a, b) of block k of M^(g+1), over [P^(g+1)]_{a,b}, is
     the expected count of that kind of transition in a gap a -> b with g
     hidden slots. Row a of M^(g+1) is built for all signatures at once by
-    repeated squaring over the bits of g+1: O(signatures x log max gap).
+    repeated squaring over the bits of g+1. The arrays that depend only on
+    the dataset (dataset.gap_plan) are built once per dataset, so one call
+    costs the bit loop over S signatures: O(S x log max gap).
     Only non-negative terms are summed, so each value's relative rounding
     error stays within a small multiple of (g+1) float epsilons anywhere in
     the unit square, and counts that are exactly zero come out zero.
     Raises ZeroProbabilityError if an observed gap has probability zero.
     """
-    signatures, counts = dataset.gap_histogram
-    start, end, hidden = signatures.T
-    steps = hidden + 1
-    P = transition_matrix(params)
-    M = np.kron(np.eye(5), P)
-    # first block row: C_01, C_10, C_from0, C_from1 in columns 2-3 ... 8-9
-    M[0, 3] = P[0, 1]
-    M[1, 4] = P[1, 0]
-    M[0, 6:8] = P[0]
-    M[1, 8:10] = P[1]
-    rows = np.eye(10)[start]
-    power = M
-    for bit in range(int(steps.max()).bit_length()):
-        rows = np.where(((steps >> bit) & 1)[:, None] == 1, rows @ power, rows)
-        power = power @ power
+    plan = dataset.gap_plan
+    M = np.zeros((10, 10))
+    M[_M_ROW, _M_COL] = transition_matrix(params).ravel()[_M_SRC]
+    rows, power = plan.rows, M
+    for bit, mask in enumerate(plan.bits):
+        if bit:
+            power = power @ power
+        rows = np.where(mask, rows @ power, rows)
     # blocks[i, k] = entry (start_i, end_i) of block k of M^(g_i + 1)
-    blocks = rows.reshape(-1, 5, 2)[np.arange(len(steps)), :, end]
+    blocks = rows.take(plan.gather)
     prob = blocks[:, 0]
     if not (prob > 0.0).all():
         i = int(np.argmin(prob > 0.0))
         raise ZeroProbabilityError(
-            f"gap {int(start[i])}->{int(end[i])} over {int(steps[i])} steps "
-            "has zero probability"
+            f"gap {int(plan.start[i])}->{int(plan.end[i])} over "
+            f"{int(plan.steps[i])} steps has zero probability"
         )
-    expected = counts @ (blocks[:, 1:] / prob[:, None])
-    return GapPosterior(*map(float, expected), float(counts @ np.log(prob)))
+    expected = plan.counts @ (blocks[:, 1:] / prob[:, None])
+    return GapPosterior(*map(float, expected), float(plan.counts @ np.log(prob)))
 
 
 def incomplete_log_likelihood(dataset: ObservedDataset, params: ChannelParams) -> float:

@@ -4,9 +4,9 @@ An observer samples the channel state at an increasing sequence of slot
 indices (1-based, always starting at slot 1). Consecutive observations at
 slots t and t' leave t' - t - 1 hidden slots between them; the triple
 (start state, end state, hidden length) is all the likelihood ever needs
-from a gap, so datasets precompute a histogram of those signatures. The
-`slot_index,state` CSV of observed and full sequences is written and read
-only here.
+from a gap, so datasets precompute a histogram of those signatures, and
+cache the gap kernel's plan built from it. The `slot_index,state` CSV of
+observed and full sequences is written and read only here.
 """
 
 from __future__ import annotations
@@ -15,11 +15,14 @@ import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
 from chan_em.errors import InsufficientDataError
+
+if TYPE_CHECKING:
+    from chan_em.likelihood import GapPlan
 
 _SCHEDULE_KINDS = ("fixed", "random-uniform")
 _WRITE_BLOCK = 1 << 16  # rows per formatted write of a slot-state CSV
@@ -172,6 +175,17 @@ class ObservedDataset:
         uniq, counts = np.unique(key, return_counts=True)
         signatures = np.column_stack(((uniq >> 1) & 1, uniq & 1, uniq >> 2))
         return signatures, counts
+
+    @cached_property
+    def gap_plan(self) -> GapPlan:
+        """The gap kernel's dataset-only arrays, built on first use.
+
+        Cached here so every E-M iterate on this dataset reuses them and
+        they are freed with it; see likelihood.gap_posterior.
+        """
+        from chan_em.likelihood import build_gap_plan  # likelihood imports us
+
+        return build_gap_plan(self)
 
     def save(self, path: str | Path, meta: dict[str, object] | None = None) -> None:
         """Write `slot_index,state` CSV; optional metadata as leading # lines."""

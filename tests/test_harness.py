@@ -688,6 +688,17 @@ class TestCli:
         meta = meta_of(override_out / "observed.csv")
         assert meta["master_seed"] == "99"
 
+    def test_negative_seed_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "never"
+        rc = main([
+            "table1", "--preset", "paper-table1", "--seed", "-1", "--out", str(out),
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "config error" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_preset_with_out_override(self, tmp_path, capsys):
         rc = main([
             "trajectories", "--preset", "paper-fig3", "--out", str(tmp_path / "fig3"),

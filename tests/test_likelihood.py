@@ -11,22 +11,27 @@ import pytest
 from chan_em import (
     BoundaryParameterError,
     ChannelParams,
+    EmConfig,
     EnumerationLimitError,
     ObservedDataset,
     SE_FLOOR_DB,
     ZeroProbabilityError,
+    brute_force_expected_stats,
     brute_force_likelihood,
     complete_log_likelihood,
     count_statistics,
     e_step,
     geometric_mean_likelihood,
     incomplete_log_likelihood,
+    multi_start,
     n_step_matrix,
+    run_em,
     se_db_between,
     squared_error_db,
     transition_matrix,
     transition_powers,
 )
+from chan_em import likelihood
 from chan_em.likelihood import gap_posterior
 from conftest import random_small_instance
 
@@ -186,6 +191,109 @@ class TestBruteForce:
         dataset = ObservedDataset(times=[1, 23], states=[0, 1])
         with pytest.raises(EnumerationLimitError):
             brute_force_likelihood(dataset, ChannelParams(0.5, 0.5))
+
+
+def posterior_fields(dataset: ObservedDataset, params: ChannelParams) -> tuple:
+    result = gap_posterior(dataset, params)
+    return (*result.as_tuple(), result.log_likelihood)
+
+
+def assert_matches_oracles(dataset: ObservedDataset, params: ChannelParams) -> None:
+    """Kernel against n_step_matrix (single gap) and both enumeration oracles."""
+    result = gap_posterior(dataset, params)
+    if dataset.num_observations == 2:
+        (a, b), steps = dataset.states, int(dataset.times[1]) - 1
+        assert math.exp(result.log_likelihood) == pytest.approx(
+            n_step_matrix(params, steps)[a, b], rel=1e-12
+        )
+    assert math.exp(result.log_likelihood) == pytest.approx(
+        brute_force_likelihood(dataset, params), rel=1e-10
+    )
+    oracle = brute_force_expected_stats(dataset, params)
+    for got, want in zip(result.as_tuple(), oracle.as_tuple()):
+        assert got == pytest.approx(want, rel=1e-10, abs=1e-12)
+
+
+class TestGapPlan:
+    """The per-dataset plan: built once, never shared, exact at bit edges."""
+
+    PARAMS = [
+        ChannelParams(0.3, 0.7),
+        ChannelParams(1e-9, 1e-9),
+        ChannelParams(0.999, 0.5),
+        ChannelParams(1 - 1e-9, 1 - 1e-9),
+    ]
+
+    @staticmethod
+    def fresh(dataset: ObservedDataset) -> ObservedDataset:
+        return ObservedDataset(times=dataset.times, states=dataset.states)
+
+    def test_interleaved_datasets_match_fresh_copies(self):
+        rng = np.random.default_rng(40)
+        times_a = np.concatenate(([1], 1 + np.cumsum(rng.integers(1, 7, 299))))
+        times_b = np.concatenate(([1], 1 + np.cumsum(rng.integers(100, 900, 99))))
+        a = ObservedDataset(times=times_a, states=rng.integers(0, 2, size=300))
+        b = ObservedDataset(times=times_b, states=rng.integers(0, 2, size=100))
+        assert len(a.gap_plan.bits) != len(b.gap_plan.bits)
+        for params in self.PARAMS:
+            for dataset in (a, b, a):
+                assert posterior_fields(dataset, params) == posterior_fields(
+                    self.fresh(dataset), params
+                )
+
+    def test_built_once_per_dataset(self, monkeypatch):
+        builds = []
+        original = likelihood.build_gap_plan
+
+        def counted(dataset):
+            builds.append(dataset)
+            return original(dataset)
+
+        monkeypatch.setattr(likelihood, "build_gap_plan", counted)
+        rng = np.random.default_rng(41)
+        dataset, _ = random_small_instance(rng)
+        config = EmConfig(max_iterations=7, record_trajectory=True)
+        report = run_em(dataset, ChannelParams(0.4, 0.6), config)
+        assert report.iterations_run == 7
+        plan = dataset.gap_plan
+        multi_start(dataset, [ChannelParams(0.2, 0.3), ChannelParams(0.7, 0.1)], config)
+        assert builds == [dataset]
+        assert dataset.gap_plan is plan
+
+    def test_no_hidden_slots_single_bit(self):
+        rng = np.random.default_rng(42)
+        dataset = ObservedDataset(
+            times=np.arange(1, 13), states=rng.integers(0, 2, size=12)
+        )
+        assert (dataset.gap_plan.steps == 1).all()
+        assert len(dataset.gap_plan.bits) == 1
+        for params in self.PARAMS:
+            assert_matches_oracles(dataset, params)
+
+    @pytest.mark.parametrize("bits", [1, 2, 3, 4])
+    @pytest.mark.parametrize("below", [1, 2])
+    def test_single_signature_at_bit_length_edges(self, bits, below):
+        # hidden 2**k - 2 makes steps all ones in k bits; 2**k - 1 carries to k + 1
+        hidden = 2**bits - below
+        for a in (0, 1):
+            for b in (0, 1):
+                dataset = ObservedDataset(times=[1, hidden + 2], states=[a, b])
+                plan = dataset.gap_plan
+                assert len(plan.steps) == 1
+                assert len(plan.bits) == (hidden + 1).bit_length()
+                for params in self.PARAMS:
+                    assert_matches_oracles(dataset, params)
+
+    @pytest.mark.parametrize("hidden", [2**10 - 2, 2**10 - 1])
+    def test_long_single_signature_matches_n_step_matrix(self, hidden):
+        for a in (0, 1):
+            for b in (0, 1):
+                dataset = ObservedDataset(times=[1, hidden + 2], states=[a, b])
+                for params in self.PARAMS:
+                    value = math.exp(gap_posterior(dataset, params).log_likelihood)
+                    assert value == pytest.approx(
+                        n_step_matrix(params, hidden + 1)[a, b], rel=1e-12
+                    )
 
 
 def exact_gap_values(alpha: float, beta: float, hidden_lengths: list[int]) -> dict:
