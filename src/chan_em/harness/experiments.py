@@ -100,7 +100,7 @@ def _format_value(value: Any) -> str:
 def _write_csv(
     path: Path, meta: dict[str, Any], header: list[str], rows: Iterable[Iterable[Any]]
 ) -> None:
-    with path.open("w") as fh:
+    with path.open("w", newline="\n") as fh:
         for key, value in meta.items():
             fh.write(f"# {key}: {value}\n")
         fh.write(",".join(header) + "\n")
@@ -109,7 +109,8 @@ def _write_csv(
 
 
 def _write_json(path: Path, payload: dict[str, Any]) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    path.write_text(text, newline="\n")
 
 
 def _out_dir(config: ExperimentConfig) -> Path:

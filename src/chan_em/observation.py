@@ -26,6 +26,7 @@ if TYPE_CHECKING:
 
 _SCHEDULE_KINDS = ("fixed", "random-uniform")
 _WRITE_BLOCK = 1 << 16  # rows per formatted write of a slot-state CSV
+_POWERS_OF_TEN = 10 ** np.arange(1, 19, dtype=np.int64)  # digit-count thresholds
 
 
 class Gap(NamedTuple):
@@ -209,14 +210,46 @@ class ObservedDataset:
 def write_slot_states(
     path: str | Path, times: np.ndarray, states: np.ndarray, meta: dict | None = None
 ) -> None:
-    """Write `slot_index,state` rows, one % operation per _WRITE_BLOCK rows."""
-    with Path(path).open("w", newline="\n") as fh:
-        fh.writelines(f"# {key}: {value}\n" for key, value in (meta or {}).items())
-        fh.write("slot_index,state\n")
+    r"""Write `slot_index,state` rows: `# key: value` lines, a header, the rows.
+
+    Rows go out in blocks of _WRITE_BLOCK. Within a block, each run of slot
+    indices with one digit count d is filled into a (rows, d + 3) uint8
+    array column by column (the digits, `,`, the state, `\n`) and written as
+    bytes, so no Python string is built per row. Slot indices must be
+    non-negative and states single digits.
+    """
+    times, states = np.asarray(times), np.asarray(states)
+    if times.shape != states.shape or times.ndim != 1:
+        raise ValueError("times and states must be 1-d arrays of equal length")
+    if times.size and (times.min() < 0 or states.min() < 0 or states.max() > 9):
+        raise ValueError("slot indices must be >= 0 and states single digits")
+    head = "".join(f"# {key}: {value}\n" for key, value in (meta or {}).items())
+    with Path(path).open("wb") as fh:
+        fh.write((head + "slot_index,state\n").encode())
         for start in range(0, len(times), _WRITE_BLOCK):
-            stop = start + _WRITE_BLOCK
-            block = np.column_stack((times[start:stop], states[start:stop]))
-            fh.write(("%d,%d\n" * len(block)) % tuple(block.ravel().tolist()))
+            block = times[start : start + _WRITE_BLOCK]
+            digits = np.searchsorted(_POWERS_OF_TEN, block, side="right") + 1
+            cuts = np.flatnonzero(np.diff(digits)) + 1
+            bounds = [0, *cuts.tolist(), len(block)]
+            for lo, hi in zip(bounds[:-1], bounds[1:]):
+                rows = _fill_rows(
+                    block[lo:hi], states[start + lo : start + hi], int(digits[lo])
+                )
+                fh.write(rows)
+
+
+def _fill_rows(times: np.ndarray, states: np.ndarray, width: int) -> np.ndarray:
+    r"""The `slot_index,state\n` bytes of rows whose indices have `width` digits."""
+    rows = np.empty((len(times), width + 3), dtype=np.uint8)
+    value = times.astype(np.int64)  # a copy: the digit loop divides it in place
+    digit = np.empty_like(value)
+    for col in range(width - 1, -1, -1):
+        np.divmod(value, 10, out=(value, digit))
+        np.add(digit, ord("0"), out=rows[:, col], casting="unsafe")
+    rows[:, width] = ord(",")
+    np.add(states, ord("0"), out=rows[:, width + 1], casting="unsafe")
+    rows[:, width + 2] = ord("\n")
+    return rows
 
 
 def observe(sequence: np.ndarray, schedule: ObservationSchedule) -> ObservedDataset:

@@ -370,6 +370,11 @@ class TestCmdTrajectories:
         assert float(rows[0][1]) == 0.6
         assert float(rows[0][2]) == 0.5
 
+    def test_lines_end_in_newline_only(self, trajectory_outputs):
+        _, written = trajectory_outputs
+        for path in written:  # the CSV writer and the JSON writer
+            assert b"\r" not in path.read_bytes()  # read_text() would hide \r\n
+
     def test_summary_contents(self, trajectory_outputs):
         out, _ = trajectory_outputs
         summary = json.loads((out / "summary.json").read_text())
@@ -415,6 +420,11 @@ class TestCmdTable1:
         assert len(rows) == 2
         assert [r[0] for r in rows] == ["0.6", "0.2"]
         assert sum(int(r[5]) for r in rows) == 1
+
+    def test_lines_end_in_newline_only(self, tmp_path):
+        resolved = small_config(tmp_path)
+        path = cmd_table1(parse_config(resolved), resolved)[0]
+        assert b"\r" not in path.read_bytes()  # read_text() would hide \r\n
 
     def test_identical_starts_give_identical_rows(self, tmp_path):
         start = {"alpha": 0.4, "beta": 0.6}

@@ -380,7 +380,7 @@ class TestSquaredErrorDb:
         params = ChannelParams(0.6, 0.4)
         assert squared_error_db(dataset, params, params) == SE_FLOOR_DB
 
-    def test_normalized_mode_uses_per_transition_value(self):
+    def test_equals_se_db_between_geometric_means(self):
         dataset = ObservedDataset(times=[1, 5], states=[0, 1])
         est, ref = ChannelParams(0.5, 0.5), ChannelParams(0.8, 0.3)
         expected = se_db_between(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -18,6 +19,7 @@ from chan_em import (
     observe,
     simulate_chain,
 )
+from chan_em.observation import write_slot_states
 
 
 class TestSchedule:
@@ -241,3 +243,67 @@ class TestCsvRoundTrip:
         loaded = ObservedDataset.load(path)
         np.testing.assert_array_equal(loaded.times, [1, 4])
         np.testing.assert_array_equal(loaded.states, [0, 1])
+
+
+def _rendered(times, states, meta) -> bytes:
+    """The reference rendering of a slot-state CSV, one f-string per row."""
+    lines = [f"# {key}: {value}\n" for key, value in meta.items()]
+    lines.append("slot_index,state\n")
+    lines.extend(f"{t},{s}\n" for t, s in zip(times.tolist(), states.tolist()))
+    return "".join(lines).encode()
+
+
+_EVERY_WIDTH = np.array(
+    [0, *(10**k - 1 for k in range(1, 19)), *(10**k for k in range(19))]
+    + [np.iinfo(np.int64).max],
+    dtype=np.int64,
+)  # 1 to 19 digits, each width's smallest and largest value up to 10**18
+# the width changes mid-block (9 999 -> 10 000 at row 10) and exactly at the
+# 65 536-row block boundary (99 999 -> 100 000)
+_ACROSS_BLOCKS = np.concatenate(
+    (np.arange(9_990, 10_010), np.arange(100_000 - (1 << 16) + 20, 100_010))
+)
+
+
+class TestWriteSlotStates:
+    @pytest.mark.parametrize("meta", [{}, {"tool": "chan-em", "master_seed": 7}])
+    @pytest.mark.parametrize("state_dtype", [np.int8, np.int64])
+    @pytest.mark.parametrize(
+        "times",
+        [
+            _EVERY_WIDTH,
+            np.random.default_rng(3).permutation(_EVERY_WIDTH),
+            _ACROSS_BLOCKS,
+            _ACROSS_BLOCKS[::-1],
+            np.array([], dtype=np.int64),
+        ],
+        ids=["every-width", "shuffled", "across-blocks", "decreasing", "no-rows"],
+    )
+    def test_bytes_equal_f_string_rendering(self, tmp_path, times, state_dtype, meta):
+        assert _ACROSS_BLOCKS[1 << 16] == 100_000 and _ACROSS_BLOCKS[10] == 10_000
+        states = np.random.default_rng(4).integers(0, 2, size=len(times))
+        states = states.astype(state_dtype)
+        path = tmp_path / "rows.csv"
+        write_slot_states(path, times, states, meta)
+        assert path.read_bytes() == _rendered(times, states, meta)
+
+    @pytest.mark.parametrize(
+        "times, states",
+        [([1, -2], [0, 1]), ([1, 2], [0, 10]), ([1, 2], [-1, 0]), ([1, 2], [0])],
+        ids=["negative-slot", "two-digit-state", "negative-state", "lengths"],
+    )
+    def test_rejects_rows_it_cannot_render(self, tmp_path, times, states):
+        with pytest.raises(ValueError):
+            write_slot_states(tmp_path / "rows.csv", np.array(times), np.array(states))
+
+    def test_peak_allocation_is_per_block(self, tmp_path):
+        # a temporary over the whole array (8 MB of int64 here) would show
+        times = np.arange(1, 1_000_001, dtype=np.int64)
+        states = np.zeros(1_000_000, dtype=np.int8)
+        tracemalloc.start()
+        try:
+            write_slot_states(tmp_path / "rows.csv", times, states)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
