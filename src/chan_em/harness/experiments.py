@@ -138,7 +138,7 @@ def cmd_simulate(config: ExperimentConfig, resolved: dict) -> list[Path]:
     dataset.save(written[0], meta={**meta, "total_slots": int(dataset.times[-1])})
     if config.write_sequence:
         seq_path = out / "sequence.csv"
-        write_slot_states(seq_path, np.arange(1, len(sequence) + 1), sequence, meta)
+        write_slot_states(seq_path, None, sequence, meta)  # slots 1..len(sequence)
         written.append(seq_path)
     signatures, counts = dataset.gap_histogram
     hist: dict[int, int] = {}

@@ -85,6 +85,11 @@ def simulate_chain(
     the multi-million-slot sequences the experiments need. The first state is
     drawn from the stationary law unless `initial` (0 or 1) is given.
     Deterministic for a fixed seed.
+
+    Each bulk draw is kept as a chunk of (run states, run lengths) and
+    nothing is concatenated: the first chunk's last run is padded so that
+    its np.repeat alone is the whole sequence, and the later chunks, a short
+    tail, are repeated over that padding one by one.
     """
     if length < 1:
         raise ValueError(f"length must be >= 1, got {length}")
@@ -97,44 +102,39 @@ def simulate_chain(
             raise ValueError(f"initial state must be 0 or 1, got {initial!r}")
         first = int(initial)
 
+    other = 1 - first
     exit_prob = (params.alpha, params.beta)
-    run_states: list[np.ndarray] = []
-    run_lengths: list[np.ndarray] = []
-    covered = 0
-    state = first
-    while covered < length:
-        p_cur = exit_prob[state]
-        other = 1 - state
-        p_oth = exit_prob[other]
-        if p_cur == 0.0:
-            # absorbing: the current state fills the remainder
-            run_states.append(np.array([state], dtype=np.int8))
-            run_lengths.append(np.array([length - covered], dtype=np.int64))
-            break
-        if p_oth == 0.0:
-            first_run = min(int(rng.geometric(p_cur)), length - covered)
-            run_states.append(np.array([state], dtype=np.int8))
-            run_lengths.append(np.array([first_run], dtype=np.int64))
-            covered += first_run
-            if covered < length:
-                run_states.append(np.array([other], dtype=np.int8))
-                run_lengths.append(np.array([length - covered], dtype=np.int64))
-            break
-        # draw pairs of sojourns (current state, then the other) in bulk
+    p_cur, p_oth = exit_prob[first], exit_prob[other]
+    if p_cur == 0.0 or p_oth == 0.0:
+        # an absorbing state: at most one switch, then it fills the remainder
+        first_run = length if p_cur == 0.0 else min(int(rng.geometric(p_cur)), length)
+        runs = np.array([first, other], dtype=np.int8)
+        chunks = [(runs, np.array([first_run, length - first_run]))]
+    else:
+        # draw pairs of sojourns (first state, then the other) in bulk; full
+        # pairs are drawn, so every chunk starts in the first state
         mean_pair = 1.0 / p_cur + 1.0 / p_oth
-        n_pairs = int((length - covered) / mean_pair) + 8
-        lens = np.empty(2 * n_pairs, dtype=np.int64)
-        lens[0::2] = rng.geometric(p_cur, size=n_pairs)
-        lens[1::2] = rng.geometric(p_oth, size=n_pairs)
-        states = np.empty(2 * n_pairs, dtype=np.int8)
-        states[0::2] = state
-        states[1::2] = other
-        run_states.append(states)
-        run_lengths.append(lens)
-        covered += int(lens.sum())
-        # full pairs were appended, so the pending state is unchanged
-    sequence = np.repeat(np.concatenate(run_states), np.concatenate(run_lengths))
-    return sequence[:length]
+        chunks = []
+        covered = 0
+        while covered < length:
+            n_pairs = int((length - covered) / mean_pair) + 8
+            lens = np.empty(2 * n_pairs, dtype=np.int64)
+            lens[0::2] = rng.geometric(p_cur, size=n_pairs)
+            lens[1::2] = rng.geometric(p_oth, size=n_pairs)
+            states = np.empty(2 * n_pairs, dtype=np.int8)
+            states[0::2] = first
+            states[1::2] = other
+            chunks.append((states, lens))
+            covered += int(lens.sum())
+    states, lens = chunks[0]
+    head = int(lens.sum())
+    lens[-1] += max(length - head, 0)
+    sequence = np.repeat(states, lens)[:length]
+    for states, lens in chunks[1:]:
+        piece = np.repeat(states, lens)[: length - head]
+        sequence[head : head + len(piece)] = piece
+        head += len(piece)
+    return sequence
 
 
 def rank_channels(params_list: list[ChannelParams]) -> list[int]:

@@ -134,17 +134,17 @@ class ObservedDataset:
     states: np.ndarray
 
     def __post_init__(self) -> None:
-        times = np.array(self.times, dtype=np.int64)
-        states = np.array(self.states, dtype=np.int8)
+        times = _exact_copy(self.times, np.int64, "times")
+        states = _exact_copy(self.states, np.int8, "states")
         if times.ndim != 1 or states.ndim != 1 or times.shape != states.shape:
             raise ValueError("times and states must be 1-d arrays of equal length")
         if times.shape[0] < 2:
             raise InsufficientDataError("need at least 2 observations")
         if times[0] != 1:
             raise ValueError("first observation must be at slot 1")
-        if np.any(np.diff(times) < 1):
+        if (times[1:] <= times[:-1]).any():
             raise ValueError("observation times must be strictly increasing")
-        if not np.isin(states, (0, 1)).all():
+        if states.min() < 0 or states.max() > 1:
             raise ValueError("states must be 0 (occupied) or 1 (idle)")
         times.setflags(write=False)
         states.setflags(write=False)
@@ -207,49 +207,96 @@ class ObservedDataset:
         return cls(*rows.reshape(-1, 2).T)  # columns: times, states
 
 
+def _exact_copy(values: np.ndarray, dtype: type, name: str) -> np.ndarray:
+    """A copy of `values` as `dtype`; ValueError if the cast changes any value."""
+    raw = np.asarray(values)
+    with np.errstate(invalid="ignore"):  # NaN and inf fail the comparison below
+        cast = raw.astype(dtype)
+    if raw.dtype != cast.dtype and not np.array_equal(cast, raw):
+        raise ValueError(f"{name} must be integers that fit {cast.dtype}")
+    return cast
+
+
 def write_slot_states(
-    path: str | Path, times: np.ndarray, states: np.ndarray, meta: dict | None = None
+    path: str | Path,
+    times: np.ndarray | None,
+    states: np.ndarray,
+    meta: dict | None = None,
 ) -> None:
     r"""Write `slot_index,state` rows: `# key: value` lines, a header, the rows.
 
-    Rows go out in blocks of _WRITE_BLOCK. Within a block, each run of slot
-    indices with one digit count d is filled into a (rows, d + 3) uint8
-    array column by column (the digits, `,`, the state, `\n`) and written as
+    `times=None` means slots 1..len(states); each block then builds its own
+    indices, so no index array as long as the sequence is ever held. Rows go
+    out in blocks of _WRITE_BLOCK. A block whose smallest and largest index
+    have the same digit count is one run; otherwise it splits into runs of
+    one digit count d. Each run is filled into a (rows, d + 3) uint8 array
+    column by column (the digits, `,`, the state, `\n`) and written as
     bytes, so no Python string is built per row. Slot indices must be
     non-negative and states single digits.
     """
-    times, states = np.asarray(times), np.asarray(states)
-    if times.shape != states.shape or times.ndim != 1:
+    states = np.asarray(states)
+    if times is not None:
+        times = np.asarray(times)
+    if states.ndim != 1 or (times is not None and times.shape != states.shape):
         raise ValueError("times and states must be 1-d arrays of equal length")
-    if times.size and (times.min() < 0 or states.min() < 0 or states.max() > 9):
-        raise ValueError("slot indices must be >= 0 and states single digits")
+    if states.size and (states.min() < 0 or states.max() > 9):
+        raise ValueError("states must be single digits")
+    if times is not None and times.size and times.min() < 0:
+        raise ValueError("slot indices must be >= 0")
     head = "".join(f"# {key}: {value}\n" for key, value in (meta or {}).items())
     with Path(path).open("wb") as fh:
         fh.write((head + "slot_index,state\n").encode())
-        for start in range(0, len(times), _WRITE_BLOCK):
-            block = times[start : start + _WRITE_BLOCK]
-            digits = np.searchsorted(_POWERS_OF_TEN, block, side="right") + 1
-            cuts = np.flatnonzero(np.diff(digits)) + 1
-            bounds = [0, *cuts.tolist(), len(block)]
-            for lo, hi in zip(bounds[:-1], bounds[1:]):
-                rows = _fill_rows(
-                    block[lo:hi], states[start + lo : start + hi], int(digits[lo])
-                )
-                fh.write(rows)
+        for start in range(0, len(states), _WRITE_BLOCK):
+            stop = min(start + _WRITE_BLOCK, len(states))
+            block = np.arange(start + 1, stop + 1) if times is None else times[start:stop]
+            for lo, hi, width in _width_runs(block):
+                fh.write(_fill_rows(block[lo:hi], states[start + lo : start + hi], width))
+
+
+def _width_runs(block: np.ndarray) -> list[tuple[int, int, int]]:
+    """(lo, hi, digit count) of each run of one digit count in a block."""
+    narrow, wide = _digit_counts([block.min(), block.max()])
+    if narrow == wide:
+        return [(0, len(block), int(wide))]
+    digits = _digit_counts(block)
+    bounds = [0, *(np.flatnonzero(np.diff(digits)) + 1).tolist(), len(block)]
+    return [(lo, hi, int(digits[lo])) for lo, hi in zip(bounds[:-1], bounds[1:])]
+
+
+def _digit_counts(values) -> np.ndarray:
+    """The decimal digit count of each non-negative value."""
+    return np.searchsorted(_POWERS_OF_TEN, values, side="right") + 1
 
 
 def _fill_rows(times: np.ndarray, states: np.ndarray, width: int) -> np.ndarray:
-    r"""The `slot_index,state\n` bytes of rows whose indices have `width` digits."""
+    r"""The `slot_index,state\n` bytes of rows whose indices have `width` digits.
+
+    Indices of up to nine digits are divided out in uint32, whose division
+    by a scalar is about five times faster than int64's; wider ones in int64.
+    """
     rows = np.empty((len(times), width + 3), dtype=np.uint8)
-    value = times.astype(np.int64)  # a copy: the digit loop divides it in place
-    digit = np.empty_like(value)
-    for col in range(width - 1, -1, -1):
-        np.divmod(value, 10, out=(value, digit))
-        np.add(digit, ord("0"), out=rows[:, col], casting="unsafe")
+    _fill_digits(rows[:, :width], times.astype(np.uint32 if width <= 9 else np.int64))
     rows[:, width] = ord(",")
     np.add(states, ord("0"), out=rows[:, width + 1], casting="unsafe")
     rows[:, width + 2] = ord("\n")
     return rows
+
+
+def _fill_digits(columns: np.ndarray, value: np.ndarray) -> None:
+    """Write `value` as zero-padded ASCII digits into `columns`; consumes it.
+
+    Each digit is value - 10 * (value // 10). A uint32 floor division by a
+    scalar takes under a tenth of np.divmod's time (numpy 2.4), so this loop
+    takes about half the time of one np.divmod per digit.
+    """
+    ten = value.dtype.type(10)
+    quotient, digit = np.empty_like(value), np.empty_like(value)
+    for col in range(columns.shape[1] - 1, -1, -1):
+        np.floor_divide(value, ten, out=quotient)
+        np.multiply(quotient, ten, out=digit)
+        np.subtract(value, digit, out=digit)
+        np.add(digit, ord("0"), out=columns[:, col], casting="unsafe")
+        value, quotient = quotient, value
 
 
 def observe(sequence: np.ndarray, schedule: ObservationSchedule) -> ObservedDataset:

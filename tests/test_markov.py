@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,68 @@ def run_lengths(sequence: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     change = np.flatnonzero(np.diff(sequence)) + 1
     bounds = np.concatenate(([0], change, [sequence.shape[0]]))
     return sequence[bounds[:-1]], np.diff(bounds)
+
+
+def _reference_chain(
+    params: ChannelParams,
+    length: int,
+    seed: int,
+    initial: int | None = None,
+) -> tuple[np.ndarray, int]:
+    """The concatenating sampler simulate_chain replaced, and its chunk count.
+
+    Its body is kept verbatim: an oracle for the same draws in the same
+    order, which unlike pinned digests survives a change of numpy's streams.
+    """
+    if length < 1:
+        raise ValueError(f"length must be >= 1, got {length}")
+    rng = np.random.default_rng(seed)
+    if initial is None:
+        # raises DegenerateParametersError when alpha = beta = 0
+        first = OCCUPIED if rng.random() < utilization(params) else IDLE
+    else:
+        if initial not in (OCCUPIED, IDLE):
+            raise ValueError(f"initial state must be 0 or 1, got {initial!r}")
+        first = int(initial)
+
+    exit_prob = (params.alpha, params.beta)
+    run_states: list[np.ndarray] = []
+    run_lengths: list[np.ndarray] = []
+    covered = 0
+    state = first
+    while covered < length:
+        p_cur = exit_prob[state]
+        other = 1 - state
+        p_oth = exit_prob[other]
+        if p_cur == 0.0:
+            # absorbing: the current state fills the remainder
+            run_states.append(np.array([state], dtype=np.int8))
+            run_lengths.append(np.array([length - covered], dtype=np.int64))
+            break
+        if p_oth == 0.0:
+            first_run = min(int(rng.geometric(p_cur)), length - covered)
+            run_states.append(np.array([state], dtype=np.int8))
+            run_lengths.append(np.array([first_run], dtype=np.int64))
+            covered += first_run
+            if covered < length:
+                run_states.append(np.array([other], dtype=np.int8))
+                run_lengths.append(np.array([length - covered], dtype=np.int64))
+            break
+        # draw pairs of sojourns (current state, then the other) in bulk
+        mean_pair = 1.0 / p_cur + 1.0 / p_oth
+        n_pairs = int((length - covered) / mean_pair) + 8
+        lens = np.empty(2 * n_pairs, dtype=np.int64)
+        lens[0::2] = rng.geometric(p_cur, size=n_pairs)
+        lens[1::2] = rng.geometric(p_oth, size=n_pairs)
+        states = np.empty(2 * n_pairs, dtype=np.int8)
+        states[0::2] = state
+        states[1::2] = other
+        run_states.append(states)
+        run_lengths.append(lens)
+        covered += int(lens.sum())
+        # full pairs were appended, so the pending state is unchanged
+    sequence = np.repeat(np.concatenate(run_states), np.concatenate(run_lengths))
+    return sequence[:length], len(run_lengths)
 
 
 class TestChannelParams:
@@ -147,6 +211,55 @@ class TestSimulateChain:
             frac = float(np.mean(nxt[mask] == 1 - a))
             expected = params.alpha if a == OCCUPIED else params.beta
             assert frac == pytest.approx(expected, abs=0.01)
+
+
+_ORACLE_CASES = [
+    *(((0.9, 0.6), 100_000, seed, None) for seed in range(4)),  # fast
+    *(((0.01, 0.02), 200_000, seed, None) for seed in range(4)),  # slow
+    ((0.3, 0.2), 50_000, 3, OCCUPIED),
+    ((0.3, 0.2), 50_000, 3, IDLE),
+    ((0.0, 0.4), 1_000, 5, None),  # alpha = 0: occupied absorbs at once
+    ((0.0, 0.4), 1_000, 5, IDLE),  # one switch, then occupied absorbs
+    ((0.5, 0.0), 1_000, 6, OCCUPIED),  # beta = 0
+    ((0.5, 0.0), 1_000, 6, IDLE),
+    ((0.0, 0.0), 50, 7, OCCUPIED),
+    ((1.0, 1.0), 11, 8, None),
+    *(((0.9, 0.6), n, 9, None) for n in (1, 2)),
+    *(((0.0, 0.4), n, 9, IDLE) for n in (1, 2)),
+    *(((0.5, 0.0), n, 9, OCCUPIED) for n in (1, 2)),
+]
+
+
+class TestSimulateChainOracle:
+    @pytest.mark.parametrize("pair, length, seed, initial", _ORACLE_CASES)
+    def test_matches_reference(self, pair, length, seed, initial):
+        params = ChannelParams(*pair)
+        expected, _ = _reference_chain(params, length, seed, initial)
+        sequence = simulate_chain(params, length, seed, initial)
+        assert sequence.dtype == np.int8 and sequence.shape == (length,)
+        assert np.array_equal(sequence, expected)
+
+    @pytest.mark.parametrize(
+        "pair, seed, draws", [((0.9, 0.6), 0, 2), ((0.5, 0.5), 10, 3)]
+    )
+    def test_several_bulk_draws(self, pair, seed, draws):
+        # the first draw falls short, so later chunks overwrite its padding
+        params = ChannelParams(*pair)
+        expected, chunks = _reference_chain(params, 300_000, seed)
+        assert chunks == draws
+        assert np.array_equal(simulate_chain(params, 300_000, seed), expected)
+
+    def test_peak_allocation(self):
+        # the concatenating sampler peaks near 60 MB here: it copies the run
+        # lengths once more before repeating them
+        params = ChannelParams(0.9, 0.6)
+        tracemalloc.start()
+        try:
+            simulate_chain(params, 4_500_000, seed=3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 45 * 2**20
 
 
 class TestRankChannels:

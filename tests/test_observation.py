@@ -131,6 +131,29 @@ class TestObservedDataset:
         with pytest.raises(InsufficientDataError):
             ObservedDataset(times=[1], states=[0])
 
+    @pytest.mark.parametrize(
+        "times, states",
+        [
+            ([1, 2, 3], np.array([0, 256, 1])),  # int8 would wrap it to 0
+            ([1, 2, 3], [0, 1.5, 1]),
+            ([1.0, 2.9, 3.5], [0, 1, 0]),  # int64 would truncate to 1, 2, 3
+            # an array's cast would warn, and RuntimeWarning is an error here
+            (np.array([1.0, np.nan, 3.0]), [0, 1, 0]),
+            (np.array([1.0, np.inf, 3.0]), [0, 1, 0]),
+            (np.array([1, 2, 2**63], dtype=np.uint64), [0, 1, 0]),
+        ],
+        ids=["state-256", "fractional-state", "fractional-times", "nan", "inf", "uint64"],
+    )
+    def test_rejects_values_the_cast_would_change(self, times, states):
+        with pytest.raises(ValueError):
+            ObservedDataset(times=times, states=states)
+
+    def test_exact_casts_accepted(self):
+        dataset = ObservedDataset(times=np.array([1.0, 2.0, 5.0]), states=[True, 0, 1])
+        assert dataset.times.dtype == np.int64 and dataset.states.dtype == np.int8
+        np.testing.assert_array_equal(dataset.times, [1, 2, 5])
+        np.testing.assert_array_equal(dataset.states, [1, 0, 1])
+
     def test_immutable_arrays(self):
         dataset = ObservedDataset(times=[1, 3], states=[0, 1])
         with pytest.raises(ValueError):
@@ -220,8 +243,14 @@ class TestCsvRoundTrip:
 
     @pytest.mark.parametrize(
         "body",
-        ["1,0\n2\n", "1,0\n2,1,7\n", "1\n0\n3\n1\n", "1,0\n2.5,1\n"],
-        ids=["one-field", "three-fields", "one-column-not-pairs", "non-integer"],
+        ["1,0\n2\n", "1,0\n2,1,7\n", "1\n0\n3\n1\n", "1,0\n2.5,1\n", "1,0\n2,257\n"],
+        ids=[
+            "one-field",
+            "three-fields",
+            "one-column-not-pairs",
+            "non-integer",
+            "state-257",  # int8 would wrap it to state 1
+        ],
     )
     def test_rejects_malformed_rows(self, tmp_path, body):
         path = tmp_path / "bad.csv"
@@ -263,6 +292,25 @@ _EVERY_WIDTH = np.array(
 _ACROSS_BLOCKS = np.concatenate(
     (np.arange(9_990, 10_010), np.arange(100_000 - (1 << 16) + 20, 100_010))
 )
+# either side of the nine-digit uint32 / ten-digit int64 switch and of the
+# uint32 maximum, up to nineteen digits
+_UINT32_SPLIT = np.array(
+    [
+        999_999_999,
+        10**9,
+        10**9 + 1,
+        4_294_967_295,
+        4_294_967_296,
+        10**12 + 7,
+        10**18 + 10**9 - 1,
+    ],
+    dtype=np.int64,
+)
+# min and max share ten digits, so the block is one run, yet its values lie
+# on both sides of the uint32 maximum
+_ONE_WIDTH = np.array(
+    [4_294_967_296, 10**9, 9_999_999_999, 4_294_967_295, 10**9 + 1], dtype=np.int64
+)
 
 
 class TestWriteSlotStates:
@@ -276,8 +324,20 @@ class TestWriteSlotStates:
             _ACROSS_BLOCKS,
             _ACROSS_BLOCKS[::-1],
             np.array([], dtype=np.int64),
+            _UINT32_SPLIT,
+            np.random.default_rng(5).permutation(_UINT32_SPLIT),
+            _ONE_WIDTH,
         ],
-        ids=["every-width", "shuffled", "across-blocks", "decreasing", "no-rows"],
+        ids=[
+            "every-width",
+            "shuffled",
+            "across-blocks",
+            "decreasing",
+            "no-rows",
+            "uint32-split",
+            "uint32-split-shuffled",
+            "one-width-block",
+        ],
     )
     def test_bytes_equal_f_string_rendering(self, tmp_path, times, state_dtype, meta):
         assert _ACROSS_BLOCKS[1 << 16] == 100_000 and _ACROSS_BLOCKS[10] == 10_000
@@ -303,6 +363,27 @@ class TestWriteSlotStates:
         tracemalloc.start()
         try:
             write_slot_states(tmp_path / "rows.csv", times, states)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
+    # 70 000 implicit indices run from 1 to 5 digits and cross a block boundary
+    @pytest.mark.parametrize("n", [0, 1, 70_000])
+    def test_implicit_times_equal_explicit(self, tmp_path, n):
+        states = np.random.default_rng(6).integers(0, 2, size=n).astype(np.int8)
+        meta = {"tool": "chan-em"}
+        write_slot_states(tmp_path / "implicit.csv", None, states, meta)
+        write_slot_states(tmp_path / "explicit.csv", np.arange(1, n + 1), states, meta)
+        implicit = (tmp_path / "implicit.csv").read_bytes()
+        assert implicit == (tmp_path / "explicit.csv").read_bytes()
+        assert implicit == _rendered(np.arange(1, n + 1), states, meta)
+
+    def test_implicit_times_peak_allocation_is_per_block(self, tmp_path):
+        states = np.zeros(1_000_000, dtype=np.int8)
+        tracemalloc.start()
+        try:
+            write_slot_states(tmp_path / "rows.csv", None, states)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
