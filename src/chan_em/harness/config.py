@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Collection
+from typing import Any, Callable
 
 from chan_em.em import EmConfig
 from chan_em.errors import ConfigError
@@ -22,12 +23,11 @@ from chan_em.observation import ObservationSchedule
 
 Parser = Callable[[Any, str], Any]  # (JSON value, where it sits) -> typed value
 
-# cap on worst-case simulated slots per channel; 5e7 fast-mixing slots peak near 0.9 GB
+# Worst-case budget of one run (README "Config file schema"): simulated slots over
+# all channels (about 9 B a slot, plus 50 B an observation if dense), and gap-kernel
+# signature evaluations (4 signatures x (100 starts x 100 001 calls + a 1001² grid))
 MAX_SIMULATED_SLOTS = 50_000_000
-# caps on per-run work; the presets use at most 1000 iterations and 51 grid values
-MAX_EM_ITERATIONS = 100_000
-MAX_GRID_VALUES = 1001
-MAX_HEURISTIC_STARTS = 100
+MAX_KERNEL_WORK = 4 * (100 * 100_001 + 1001**2)
 
 
 @dataclass(frozen=True)
@@ -43,19 +43,20 @@ class GridSpec:
             raise ConfigError(f"grid bounds must satisfy 0 <= lo < hi <= 1, got {self.bounds}")
         if not 0.0 < self.step <= hi - lo:
             raise ConfigError(f"grid step must lie in (0, {hi - lo}], got {self.step}")
-        # values() returns round((hi - lo) / step) + 1 points; inf for a subnormal step
-        if (hi - lo) / self.step >= MAX_GRID_VALUES - 0.5:
-            raise ConfigError(
-                f"grid step {self.step} gives more than {MAX_GRID_VALUES} values per axis"
-            )
-        if abs(lo + round((hi - lo) / self.step) * self.step - hi) > 1e-9:
+        if not math.isfinite((hi - lo) / self.step):  # inf for a subnormal step
+            raise ConfigError(f"grid step {self.step} is too small")
+        if abs(lo + (self.points_per_axis - 1) * self.step - hi) > 1e-9:
             raise ConfigError(f"grid step {self.step} does not tile [{lo}, {hi}] evenly")
+
+    @property
+    def points_per_axis(self) -> int:
+        lo, hi = self.bounds
+        return round((hi - lo) / self.step) + 1
 
     def values(self) -> list[float]:
         """Grid coordinates lo, lo+step, ..., hi."""
-        lo, hi = self.bounds
-        n = round((hi - lo) / self.step)
-        return [lo + i * self.step for i in range(n + 1)]
+        lo = self.bounds[0]
+        return [lo + i * self.step for i in range(self.points_per_axis)]
 
 
 @dataclass(frozen=True)
@@ -83,24 +84,26 @@ class ExperimentConfig:
             raise ConfigError("true_params must list at least one channel")
         if self.observed_slots < 2:
             raise ConfigError("observed_slots must be >= 2")
-        schedule = self.schedule
-        longest = schedule.skip if schedule.kind == "fixed" else max(schedule.support)
-        if 1 + (self.observed_slots - 1) * (longest + 1) > MAX_SIMULATED_SLOTS:
-            raise ConfigError(
-                f"{self.observed_slots} observations with skips up to {longest} "
-                f"can span more than {MAX_SIMULATED_SLOTS} simulated slots"
-            )
-        if self.em.max_iterations > MAX_EM_ITERATIONS:
-            raise ConfigError(f"em.max_iterations must be <= {MAX_EM_ITERATIONS}")
-        if isinstance(self.starts, int):
-            if not 1 <= self.starts <= MAX_HEURISTIC_STARTS:
-                raise ConfigError(
-                    f"heuristic_count must lie in [1, {MAX_HEURISTIC_STARTS}]"
-                )
-        elif not self.starts:
-            raise ConfigError("starts must list at least one point")
+        runs = self.starts if isinstance(self.starts, int) else len(self.starts)
+        if runs < 1:
+            raise ConfigError("starts must list a point or have heuristic_count >= 1")
         if self.master_seed < 0:
             raise ConfigError("master_seed must be a non-negative integer")
+        # One worst-case estimate: each start, or each channel's one start, makes
+        # max_iterations + 1 kernel calls and se-grid one per grid point; a call
+        # evaluates up to 4 signatures (start, end state) per distinct step length.
+        schedule, channels = self.schedule, len(self.true_params)
+        steps = {schedule.skip} if schedule.kind == "fixed" else set(schedule.support)
+        slots = channels * (1 + (self.observed_slots - 1) * (max(steps) + 1))
+        if slots > MAX_SIMULATED_SLOTS:
+            raise ConfigError(f"plan needs up to {slots} slots, over {MAX_SIMULATED_SLOTS}")
+        grid_points = 0 if self.grid is None else self.grid.points_per_axis**2
+        calls = max(channels, runs) * (self.em.max_iterations + 1) + grid_points
+        work = min(4 * len(steps), self.observed_slots - 1) * calls
+        if work > MAX_KERNEL_WORK:
+            raise ConfigError(
+                f"plan needs up to {work} signature evaluations, over {MAX_KERNEL_WORK}"
+            )
 
     def single_channel(self) -> ChannelParams:
         if len(self.true_params) != 1:
@@ -108,15 +111,6 @@ class ExperimentConfig:
                 f"this command needs exactly one channel, got {len(self.true_params)}"
             )
         return self.true_params[0]
-
-
-def _require_keys(section: dict, allowed: Collection[str], where: str) -> None:
-    unknown = set(section).difference(allowed)
-    if unknown:
-        raise ConfigError(
-            f"unknown {where} field(s): {', '.join(sorted(unknown))} "
-            f"(allowed: {', '.join(sorted(allowed))})"
-        )
 
 
 def _as_int(value: Any, where: str) -> int:
@@ -167,7 +161,12 @@ def _section(build: Callable[..., Any], fields: dict[str, Parser]) -> Parser:
     def parse_section(value: Any, where: str) -> Any:
         if not isinstance(value, dict):
             raise ConfigError(f"{where} must be an object, got {value!r}")
-        _require_keys(value, fields, where)
+        unknown = set(value).difference(fields)
+        if unknown:
+            raise ConfigError(
+                f"unknown {where} field(s): {', '.join(sorted(unknown))} "
+                f"(allowed: {', '.join(sorted(fields))})"
+            )
         kwargs = {key: fields[key](item, f"{where}.{key}") for key, item in value.items()}
         try:
             return build(**kwargs)

@@ -73,6 +73,15 @@ def realize_dataset(
     return dataset, sequence
 
 
+def _check_truths(truths: Iterable[ChannelParams]) -> None:
+    """Raise before any fitting if a truth cannot score the runs against it.
+
+    relative_error raises DegenerateParametersError for a zero alpha or beta.
+    """
+    for truth in truths:
+        relative_error(truth, truth)
+
+
 def _resolve_starts(
     config: ExperimentConfig, dataset: ObservedDataset
 ) -> list[ChannelParams]:
@@ -156,6 +165,7 @@ def _run_single_channel(
     config: ExperimentConfig,
 ) -> tuple[ObservedDataset, EstimateReport, list[EstimateReport]]:
     truth = config.single_channel()
+    _check_truths([truth])
     dataset, _ = realize_dataset(
         truth, config.schedule, config.observed_slots, config.master_seed
     )
@@ -266,6 +276,7 @@ def _estimate_channels(
                 f"got {len(config.starts)} starts for {len(channels)} channels"
             )
         explicit = list(config.starts)
+    _check_truths(channels)
     results = []
     for index, truth in enumerate(channels):
         dataset, _ = realize_dataset(

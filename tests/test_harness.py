@@ -25,6 +25,7 @@ from chan_em.harness import (
     preset_config,
     realize_dataset,
 )
+from chan_em.harness import experiments
 from chan_em.harness.cli import main
 from chan_em.harness.presets import PRESET_NAMES
 from chan_em.observation import ObservationSchedule
@@ -96,16 +97,66 @@ INVALID_MUTATIONS = [
     {"em": {"param_tolerance": 10**400}},
     {"schedule": {"kind": "fixed", "skip": 100_000_000}},
     {"observed_slots": 10**9},
-    {"em": {"max_iterations": 100_001}},
+    {"em": {"max_iterations": 5_501_050}},
     {"grid": {"step": 1e-5}},
-    {"grid": {"step": 0.0005}},
+    {"grid": {"step": 0.0002}},
     {"grid": {"step": 5e-324}},
-    {"starts": {"heuristic_count": 101}},
+    {"starts": {"heuristic_count": 354_907}},
     {"schedule": {"kind": "random-uniform", "support": [1, 2], "seed": -1}},
     {"schedule": {"kind": "random-uniform", "support": [1, 2], "seed": None}},
     {"grid": {"step": 0.03}},
     {"em": None},
+    # 1000 step lengths, so up to 4000 signatures a kernel call: hours of work
+    {
+        "schedule": {"kind": "random-uniform", "support": list(range(1, 1001))},
+        "starts": {"heuristic_count": 100},
+        "em": {"max_iterations": 100_000},
+    },
 ]
+
+# each entry, merged into small_config, stays within the work budget: its
+# gap-kernel work in signature evaluations is noted (the limit is 44 008 404)
+WITHIN_BUDGET = [
+    {"em": {"max_iterations": 100_001}},  # 800 016
+    {"grid": {"step": 0.0005}},  # 16 016 252
+    {"starts": {"heuristic_count": 101}},  # 12 524
+    {"em": {"max_iterations": 5_501_049}},  # 44 008 400
+    {"starts": {"heuristic_count": 354_906}},  # 44 008 344
+]
+
+# over-budget runs of the presets: (command, preset, --paper-scale, file overrides)
+OVER_BUDGET_PRESETS = {
+    # 10 000 starts x (1e5 + 1) kernel calls x 4 signatures
+    "table1-10k-starts": (
+        "table1",
+        "paper-table1",
+        True,
+        {
+            "starts": [{"alpha": 0.5, "beta": 0.5}] * 10_000,
+            "em": {"max_iterations": 100_000},
+        },
+    ),
+    # 10 000 channels x 7e5 slots
+    "fig5-10k-channels": (
+        "multichannel",
+        "paper-fig5",
+        False,
+        {
+            "true_params": [{"alpha": 0.8, "beta": 0.3}] * 10_000,
+            "starts": [{"alpha": 0.6, "beta": 0.5}] * 10_000,
+        },
+    ),
+    # 10 channels x 6 999 994 slots
+    "fig5-paper-10-channels": (
+        "multichannel",
+        "paper-fig5",
+        True,
+        {
+            "true_params": [{"alpha": 0.8, "beta": 0.3}] * 10,
+            "starts": [{"alpha": 0.6, "beta": 0.5}] * 10,
+        },
+    ),
+}
 
 
 class TestGridSpec:
@@ -171,6 +222,19 @@ class TestParseConfig:
         assert len(config.grid.values()) == 1001
         assert config.starts == 100
 
+    @pytest.mark.parametrize("mutation", WITHIN_BUDGET)
+    def test_within_budget_validates(self, tmp_path, mutation):
+        data = small_config(tmp_path)
+        data.update(mutation)
+        parse_config(data)
+
+    @pytest.mark.parametrize("name", OVER_BUDGET_PRESETS)
+    def test_over_budget_presets_rejected(self, name):
+        _, preset, paper_scale, overrides = OVER_BUDGET_PRESETS[name]
+        data = {**preset_config(preset, paper_scale=paper_scale), **overrides}
+        with pytest.raises(ConfigError, match="plan needs up to"):
+            parse_config(data)
+
     @pytest.mark.parametrize("mutation", INVALID_MUTATIONS)
     def test_invalid_configs_rejected(self, tmp_path, mutation):
         data = small_config(tmp_path)
@@ -208,10 +272,13 @@ class TestConfigHash:
 
 
 class TestPresets:
-    @pytest.mark.parametrize("name", PRESET_NAMES)
-    def test_presets_parse(self, name):
-        config = parse_config(preset_config(name))
-        assert config.observed_slots == 100_000
+    @pytest.mark.parametrize(
+        "name, paper_scale",
+        [pytest.param(n, s, id=n + "-paper" * s) for n in PRESET_NAMES for s in (False, True)],
+    )
+    def test_presets_parse(self, name, paper_scale):
+        config = parse_config(preset_config(name, paper_scale=paper_scale))
+        assert config.observed_slots == (1_000_000 if paper_scale else 100_000)
         assert isinstance(config, ExperimentConfig)
 
     def test_paper_scale(self):
@@ -651,6 +718,57 @@ class TestCli:
         )
         assert main(["simulate", "--config", str(path)]) == 3
         assert "DegenerateParametersError" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, exit_code",
+        [
+            ("trajectories", 3),
+            ("table1", 3),
+            ("multichannel", 3),
+            ("rank", 3),
+            ("se-grid", 0),
+            ("simulate", 0),
+        ],
+    )
+    def test_zero_truth_fails_before_realizing(
+        self, tmp_path, capsys, monkeypatch, command, exit_code
+    ):
+        realized = []
+        real = experiments.realize_dataset
+
+        def counted(*args, **kwargs):
+            realized.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "realize_dataset", counted)
+        truths = [{"alpha": 0.3, "beta": 0.0}]
+        if command in ("multichannel", "rank"):
+            truths.insert(0, {"alpha": 0.8, "beta": 0.3})  # the zero is the second
+        path = self.config_file(
+            tmp_path,
+            true_params=truths,
+            starts=[{"alpha": 0.6, "beta": 0.5}] * len(truths),
+            grid={"step": 0.25},
+        )
+        assert main([command, "--config", str(path)]) == exit_code
+        if exit_code == 3:
+            assert "DegenerateParametersError" in capsys.readouterr().err
+            assert realized == []
+        else:
+            assert len(realized) == 1
+
+    @pytest.mark.parametrize("name", OVER_BUDGET_PRESETS)
+    def test_over_budget_preset_exits_2(self, tmp_path, capsys, name):
+        command, preset, paper_scale, overrides = OVER_BUDGET_PRESETS[name]
+        path = tmp_path / "override.json"
+        path.write_text(json.dumps(overrides))
+        out = tmp_path / "never"
+        argv = [command, "--preset", preset, "--config", str(path), "--out", str(out)]
+        assert main(argv + ["--paper-scale"] * paper_scale) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
     def test_io_failure_exit(self, tmp_path, capsys):
         blocker = tmp_path / "blocked"
