@@ -10,19 +10,25 @@ a two-sided bridge identity. Gaps with the same (a, b, g) signature share
 the same expectation, so the whole E-step runs over the signature histogram.
 The bridge sums are blocks of one power of a 10x10 block upper-triangular
 matrix (Van Loan 1978), formed for all signatures at once by repeated
-squaring in likelihood.gap_posterior. Its dataset-only arrays are built once
+squaring in likelihood.gap_posteriors. Its dataset-only arrays are built once
 per dataset (ObservedDataset.gap_plan), so one E-step costs the bit loop over
 the signatures, O(signatures x log max gap), and also yields the
 log-likelihood. The M-step is the complete-data ratio estimator on the
 expected counts, clamped into the open unit square so log-likelihoods stay
 finite.
+
+Every start of one dataset runs in lockstep: each E-M iterate makes one
+e_step call, and so one kernel call, for all starts still running, with the
+Van Loan matrices of the starts stacked. run_em is that loop with one start,
+multi_start with all of its starts; each start stops on its own tolerance
+and gets exactly the iterates, trajectory and errors it would get alone.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -38,6 +44,7 @@ from chan_em.expfam import SufficientStats
 from chan_em.likelihood import (
     GapPosterior,
     gap_posterior,
+    gap_posteriors,
     geometric_mean_likelihood,
     # the two noqa names are unused here; bench/tracing.py patches them on em
     incomplete_log_likelihood,  # noqa: F401
@@ -119,19 +126,24 @@ class EstimateReport:
         return out
 
 
-def e_step(dataset: ObservedDataset, params: ChannelParams) -> GapPosterior:
+def e_step(
+    dataset: ObservedDataset, params: ChannelParams | Sequence[ChannelParams]
+) -> GapPosterior | list[GapPosterior | ChanEmError]:
     """Posterior-expected transition counts under interior parameters.
 
-    gap_posterior's result: the counts for all gap signatures at once, at a
-    cost of O(signatures x log max gap), and the log_likelihood at params.
-    The four expectations sum to the spanned transition count up to rounding
+    At one point, gap_posterior's result: the counts for all gap signatures
+    at once, at a cost of O(signatures x log max gap), and the log_likelihood
+    at params. At a sequence of points, one gap_posteriors call for all of
+    them: per point, its result or the ZeroProbabilityError it raised. The
+    four expectations sum to the spanned transition count up to rounding
     (each gap contributes g+1 transitions of posterior mass one).
     """
-    if not params.is_interior():
+    single = isinstance(params, ChannelParams)
+    if not all(p.is_interior() for p in ((params,) if single else params)):
         raise BoundaryParameterError(
             "e_step requires interior parameters, clamp the start first"
         )
-    return gap_posterior(dataset, params)
+    return gap_posterior(dataset, params) if single else gap_posteriors(dataset, params)
 
 
 def m_step(expected: SufficientStats, clamp_epsilon: float = 1e-9) -> ChannelParams:
@@ -160,6 +172,67 @@ def relative_error(estimate: ChannelParams, truth: ChannelParams) -> float:
     )
 
 
+def _lockstep(
+    dataset: ObservedDataset, starts: Sequence[ChannelParams], config: EmConfig
+) -> list[EstimateReport | ChanEmError]:
+    """Run E-M from every start at once; per start, its report or its error.
+
+    Each iterate makes one e_step call for the starts still running. A start
+    stops after the E-step at which its last update moved no parameter by
+    param_tolerance or more, or after max_iterations updates; one whose E- or
+    M-step fails stops with that error, prefixed by the iteration. The others
+    carry on, so every start's outcome is what it would be alone.
+    """
+    eps = config.clamp_epsilon
+    current = [start.clamped(eps) for start in starts]
+    trajectories = [
+        EmTrajectory() if config.record_trajectory else None for _ in starts
+    ]
+    delta = [math.inf] * len(starts)
+    outcomes: list = [None] * len(starts)
+    live = range(len(starts))
+    for iteration in range(config.max_iterations + 1):
+        posteriors = e_step(dataset, [current[i] for i in live])
+        running = []
+        for i, posterior in zip(live, posteriors):
+            try:
+                if isinstance(posterior, ChanEmError):
+                    raise posterior
+                if trajectories[i] is not None:
+                    trajectories[i].steps.append(
+                        TrajectoryStep(
+                            iteration, *current[i].as_tuple(), posterior.log_likelihood
+                        )
+                    )
+                converged = delta[i] < config.param_tolerance
+                if converged or iteration == config.max_iterations:
+                    if converged and trajectories[i] is not None:
+                        trajectories[i].converged_at = iteration
+                    outcomes[i] = EstimateReport(
+                        estimate=current[i],
+                        start=starts[i],
+                        iterations_run=iteration,
+                        log_likelihood=posterior.log_likelihood,
+                        trajectory=trajectories[i],
+                    )
+                    continue
+                updated = m_step(posterior, eps)
+            except ChanEmError as exc:
+                outcomes[i] = type(exc)(f"iteration {iteration + 1}: {exc}")
+                outcomes[i].__cause__ = exc
+                continue
+            delta[i] = max(
+                abs(updated.alpha - current[i].alpha),
+                abs(updated.beta - current[i].beta),
+            )
+            current[i] = updated
+            running.append(i)
+        live = running
+        if not live:
+            break
+    return outcomes
+
+
 def run_em(
     dataset: ObservedDataset,
     start: ChannelParams,
@@ -174,42 +247,15 @@ def run_em(
     per-transition likelihood against the truth's and gamma_percent the
     parameter error.
     """
-    eps = config.clamp_epsilon
-    current = start.clamped(eps)
-    trajectory = EmTrajectory() if config.record_trajectory else None
-    delta = math.inf
-    for iteration in range(config.max_iterations + 1):
-        try:
-            posterior = e_step(dataset, current)
-            if trajectory is not None:
-                trajectory.steps.append(
-                    TrajectoryStep(
-                        iteration, *current.as_tuple(), posterior.log_likelihood
-                    )
-                )
-            if delta < config.param_tolerance or iteration == config.max_iterations:
-                break
-            updated = m_step(posterior, eps)
-        except ChanEmError as exc:
-            raise type(exc)(f"iteration {iteration + 1}: {exc}") from exc
-        delta = max(
-            abs(updated.alpha - current.alpha), abs(updated.beta - current.beta)
-        )
-        current = updated
-    if trajectory is not None and delta < config.param_tolerance:
-        trajectory.converged_at = iteration
-    report = EstimateReport(
-        estimate=current,
-        start=start,
-        iterations_run=iteration,
-        log_likelihood=posterior.log_likelihood,
-        trajectory=trajectory,
-    )
+    (report,) = _lockstep(dataset, [start], config)
+    if isinstance(report, ChanEmError):
+        raise report
     if truth is not None:
+        eps = config.clamp_epsilon
         truth_value = geometric_mean_likelihood(dataset, truth.clamped(eps))
-        estimate_value = math.exp(posterior.log_likelihood / dataset.num_transitions)
+        estimate_value = math.exp(report.log_likelihood / dataset.num_transitions)
         report.se_db = se_db_between(estimate_value, truth_value)
-        report.gamma_percent = relative_error(current, truth)
+        report.gamma_percent = relative_error(report.estimate, truth)
     return report
 
 
@@ -219,28 +265,29 @@ def multi_start(
     config: EmConfig = EmConfig(),
     truth: ChannelParams | None = None,
 ) -> tuple[EstimateReport, list[EstimateReport]]:
-    """Run E-M from several starts and pick the best run.
+    """Run E-M from several starts in lockstep and pick the best run.
 
-    Every report's se_db is scored against one shared target value: the
-    truth's per-transition likelihood when a truth is given, otherwise the
-    best per-transition likelihood attained by any run. The winner minimizes
-    se_db, ties broken by higher final log-likelihood then lower start
-    index. With a truth, gamma_percent is each run's parameter error against
-    it. Returns (winner, reports in start order); failed starts are
-    dropped from the list, and AllStartsFailedError aggregates the causes
-    when no start survives.
+    Every start's run equals run_em from that start alone, at one kernel call
+    per iterate for all starts still running. Every report's se_db is scored
+    against one shared target value: the truth's per-transition likelihood
+    when a truth is given, otherwise the best per-transition likelihood
+    attained by any run. The winner minimizes se_db, ties broken by higher
+    final log-likelihood then lower start index. With a truth, gamma_percent
+    is each run's parameter error against it. Returns (winner, reports in
+    start order); failed starts are dropped from the list, and
+    AllStartsFailedError aggregates the causes when no start survives.
     """
     if not starts:
         raise ValueError("need at least one start")
     reports: list[EstimateReport] = []
     failures: list[str] = []
-    for index, start in enumerate(starts):
-        try:
-            report = run_em(dataset, start, config)
-        except ChanEmError as exc:
-            failures.append(f"start {index} ({start.alpha}, {start.beta}): {exc}")
-            continue
-        reports.append(report)
+    for index, (start, outcome) in enumerate(
+        zip(starts, _lockstep(dataset, starts, config))
+    ):
+        if isinstance(outcome, ChanEmError):
+            failures.append(f"start {index} ({start.alpha}, {start.beta}): {outcome}")
+        else:
+            reports.append(outcome)
     if not reports:
         raise AllStartsFailedError("; ".join(failures))
     values = [np.exp(r.log_likelihood / dataset.num_transitions) for r in reports]

@@ -76,7 +76,7 @@ class ExperimentConfig:
     master_seed: int
     output_dir: Path
     em: EmConfig = EmConfig()
-    grid: GridSpec | None = None
+    grid: GridSpec = GridSpec()
     write_sequence: bool = False
 
     def __post_init__(self) -> None:
@@ -96,13 +96,16 @@ class ExperimentConfig:
         steps = {schedule.skip} if schedule.kind == "fixed" else set(schedule.support)
         slots = channels * (1 + (self.observed_slots - 1) * (max(steps) + 1))
         if slots > MAX_SIMULATED_SLOTS:
-            raise ConfigError(f"plan needs up to {slots} slots, over {MAX_SIMULATED_SLOTS}")
-        grid_points = 0 if self.grid is None else self.grid.points_per_axis**2
-        calls = max(channels, runs) * (self.em.max_iterations + 1) + grid_points
+            raise ConfigError(
+                f"plan needs up to {_short(slots)} slots, over {MAX_SIMULATED_SLOTS}"
+            )
+        calls = max(channels, runs) * (self.em.max_iterations + 1)
+        calls += self.grid.points_per_axis**2
         work = min(4 * len(steps), self.observed_slots - 1) * calls
         if work > MAX_KERNEL_WORK:
             raise ConfigError(
-                f"plan needs up to {work} signature evaluations, over {MAX_KERNEL_WORK}"
+                f"plan needs up to {_short(work)} signature evaluations, "
+                f"over {MAX_KERNEL_WORK}"
             )
 
     def single_channel(self) -> ChannelParams:
@@ -111,6 +114,13 @@ class ExperimentConfig:
                 f"this command needs exactly one channel, got {len(self.true_params)}"
             )
         return self.true_params[0]
+
+
+def _short(count: int) -> str:
+    """An estimate in scientific form; Decimal takes ints too large for a float."""
+    from decimal import Decimal  # here, off the CLI's import time (about 1 ms)
+
+    return f"{Decimal(count):.4e}"
 
 
 def _as_int(value: Any, where: str) -> int:

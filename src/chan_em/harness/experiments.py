@@ -25,7 +25,7 @@ from chan_em.em import (
     run_em,
 )
 from chan_em.errors import ConfigError
-from chan_em.harness.config import ExperimentConfig, GridSpec, config_hash
+from chan_em.harness.config import ExperimentConfig, config_hash
 from chan_em.likelihood import geometric_mean_likelihood, se_db_between
 from chan_em.likelihood import squared_error_db  # noqa: F401  kept for bench/tracing.py
 from chan_em.markov import ChannelParams, rank_channels, simulate_chain, utilization
@@ -240,12 +240,11 @@ def cmd_table1(config: ExperimentConfig, resolved: dict) -> list[Path]:
 def cmd_se_grid(config: ExperimentConfig, resolved: dict) -> list[Path]:
     """Likelihood-gap surface against the truth over an (alpha, beta) grid."""
     truth = config.single_channel()
-    grid = config.grid if config.grid is not None else GridSpec()
     dataset, _ = realize_dataset(
         truth, config.schedule, config.observed_slots, config.master_seed
     )
     eps = config.em.clamp_epsilon
-    values = grid.values()
+    values = config.grid.values()
     reference = geometric_mean_likelihood(dataset, truth.clamped(eps))
     rows = []
     for alpha in values:

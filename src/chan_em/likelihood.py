@@ -3,8 +3,11 @@
 Conditioned on the first observed state, the probability of an observed
 dataset factorizes over gaps: a gap from state a to state b with g hidden
 slots contributes [P^(g+1)]_{a,b}, the (g+1)-step transition probability.
-gap_posterior computes it together with the E-step's expected counts. The
-brute-force functions recompute the same quantities by summing over
+gap_posteriors computes it together with the E-step's expected counts, at
+many parameter points in one call: the lockstep E-M evaluates every live
+start of one dataset at once, so an iterate costs one call whatever the
+number of starts. gap_posterior is its one-point form. The brute-force
+functions recompute the same quantities by summing over
 every completion of the hidden slots; they exist as independent oracles for
 tests and are deliberately naive.
 """
@@ -13,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -31,6 +34,10 @@ SE_FLOOR_DB = -320.0
 MAX_ENUMERATION_HIDDEN = 20
 
 _ENUM_CHUNK = 1 << 16
+
+# gap_posteriors splits a batch so one call holds at most this many point x
+# signature rows of 10 floats (5 MB for the rows, as much for their product)
+MAX_BATCH_ROWS = 1 << 16
 
 
 def transition_powers(params: ChannelParams, max_power: int) -> np.ndarray:
@@ -71,13 +78,20 @@ _M_ROW, _M_COL, _M_SRC = np.array(
     ]
     + [(0, 3, 1), (1, 4, 2), (0, 6, 0), (0, 7, 1), (1, 8, 2), (1, 9, 3)]
 ).T
+# M, then the 10x10 identity, as indices into one point's entries
+# (P.ravel(), 0.0, 1.0)
+_M_INDEX = np.full((20, 10), 4)
+_M_INDEX[_M_ROW, _M_COL] = _M_SRC
+_M_INDEX[10 + np.arange(10), np.arange(10)] = 5
 
 
 class GapPlan(NamedTuple):
-    """gap_posterior's arrays that depend only on the dataset.
+    """gap_posteriors' arrays that depend only on the dataset.
 
     One row per gap signature: start and end state, steps = hidden + 1, the
-    multiplicity, the one-hot row of M that starts the power, one (S, 1)
+    multiplicity (as a float), the row of M^(steps & 1) that starts the
+    power (row start of M for odd steps, the one-hot row start for even),
+    as indices into a point's entries (P.ravel(), 0.0, 1.0), one (S, 1)
     mask per bit of steps (lowest first), and the flat index into the
     (S, 10) result rows of entry (start, end) of each of the five blocks.
     """
@@ -86,7 +100,7 @@ class GapPlan(NamedTuple):
     end: np.ndarray
     steps: np.ndarray
     counts: np.ndarray
-    rows: np.ndarray
+    first: np.ndarray
     bits: tuple[np.ndarray, ...]
     gather: np.ndarray
 
@@ -101,14 +115,17 @@ def build_gap_plan(dataset: ObservedDataset) -> GapPlan:
         for bit in range(int(steps.max()).bit_length())
     )
     gather = (np.arange(len(steps)) * 10)[:, None] + 2 * np.arange(5) + end[:, None]
-    return GapPlan(start, end, steps, counts, np.eye(10)[start], bits, gather)
+    first = _M_INDEX[np.where(steps & 1, start, 10 + start)]
+    return GapPlan(start, end, steps, counts.astype(float), first, bits, gather)
 
 
-def gap_posterior(dataset: ObservedDataset, params: ChannelParams) -> GapPosterior:
-    """Posterior-expected transition counts and log-likelihood in one pass.
+def gap_posteriors(
+    dataset: ObservedDataset, points: Sequence[ChannelParams]
+) -> list[GapPosterior | ZeroProbabilityError]:
+    """Posterior-expected transition counts and log-likelihood at each point.
 
-    The kernel behind incomplete_log_likelihood and the E-step. It powers
-    the block upper-triangular matrix of Van Loan (1978)
+    The kernel behind gap_posterior, incomplete_log_likelihood and the
+    E-step. It powers the block upper-triangular matrix of Van Loan (1978)
 
         M = [[P, C_01, C_10, C_from0, C_from1], [0, P, 0, 0, 0], ...]
 
@@ -117,34 +134,86 @@ def gap_posterior(dataset: ObservedDataset, params: ChannelParams) -> GapPosteri
     entry, C_10 only its (1, 0) entry, C_from0 and C_from1 only its row 0
     or 1; so entry (a, b) of block k of M^(g+1), over [P^(g+1)]_{a,b}, is
     the expected count of that kind of transition in a gap a -> b with g
-    hidden slots. Row a of M^(g+1) is built for all signatures at once by
-    repeated squaring over the bits of g+1. The arrays that depend only on
-    the dataset (dataset.gap_plan) are built once per dataset, so one call
-    costs the bit loop over S signatures: O(S x log max gap).
+    hidden slots. Row a of M^(g+1) is built for all signatures and all
+    points at once by repeated squaring over the bits of g+1, on a stack of
+    one M per point. The arrays that depend only on the dataset
+    (dataset.gap_plan) are built once per dataset, so one call costs one bit
+    loop over B points x S signatures, O(B x S x log max gap), in
+    O(log max gap) numpy calls whatever B is. Each point is then reduced on
+    its own with the same operations as a one-point call, so its result does
+    not depend on the other points in the batch. Batches over
+    MAX_BATCH_ROWS point-signature rows are split to bound memory.
     Only non-negative terms are summed, so each value's relative rounding
     error stays within a small multiple of (g+1) float epsilons anywhere in
     the unit square, and counts that are exactly zero come out zero.
-    Raises ZeroProbabilityError if an observed gap has probability zero.
+    Returns one entry per point, in order: its GapPosterior, or the
+    ZeroProbabilityError naming an observed gap of probability zero there.
     """
     plan = dataset.gap_plan
-    M = np.zeros((10, 10))
-    M[_M_ROW, _M_COL] = transition_matrix(params).ravel()[_M_SRC]
-    rows, power = plan.rows, M
-    for bit, mask in enumerate(plan.bits):
-        if bit:
-            power = power @ power
-        rows = np.where(mask, rows @ power, rows)
-    # blocks[i, k] = entry (start_i, end_i) of block k of M^(g_i + 1)
-    blocks = rows.take(plan.gather)
-    prob = blocks[:, 0]
-    if not (prob > 0.0).all():
-        i = int(np.argmin(prob > 0.0))
-        raise ZeroProbabilityError(
-            f"gap {int(plan.start[i])}->{int(plan.end[i])} over "
-            f"{int(plan.steps[i])} steps has zero probability"
+    per_call = max(1, MAX_BATCH_ROWS // len(plan.steps))
+    results: list[GapPosterior | ZeroProbabilityError] = []
+    for lo in range(0, len(points), per_call):
+        results += _posteriors(plan, points[lo : lo + per_call])
+    return results
+
+
+def _posteriors(
+    plan: GapPlan, points: Sequence[ChannelParams]
+) -> list[GapPosterior | ZeroProbabilityError]:
+    # entries of transition_matrix(p).ravel(), then 0.0 and 1.0
+    entries = np.array(
+        [(1.0 - p.alpha, p.alpha, p.beta, 1.0 - p.beta, 0.0, 1.0) for p in points]
+    )
+    power = entries.take(_M_INDEX[:10], axis=1)  # one M per point
+    # bit 0 needs no product: a one-hot row times M is that row of M, exactly
+    rows = entries.take(plan.first, axis=1)
+    product, spare = np.empty_like(rows), np.empty_like(power)
+    for mask in plan.bits[1:]:
+        np.matmul(power, power, out=spare)
+        power, spare = spare, power
+        np.matmul(rows, power, out=product)
+        np.copyto(rows, product, where=mask)
+    # blocks[p, i, k] = entry (start_i, end_i) of block k of M^(g_i + 1) at point p
+    blocks = rows.reshape(len(points), -1).take(plan.gather, axis=1)
+    positive = blocks[..., 0] > 0.0
+    if positive.all():
+        return _reduce(plan, blocks)
+    results: list[GapPosterior | ZeroProbabilityError] = []
+    for block, fine in zip(blocks, positive):
+        if fine.all():
+            results += _reduce(plan, block[None])
+            continue
+        i = int(np.argmin(fine))
+        results.append(
+            ZeroProbabilityError(
+                f"gap {int(plan.start[i])}->{int(plan.end[i])} over "
+                f"{int(plan.steps[i])} steps has zero probability"
+            )
         )
-    expected = plan.counts @ (blocks[:, 1:] / prob[:, None])
-    return GapPosterior(*map(float, expected), float(plan.counts @ np.log(prob)))
+    return results
+
+
+def _reduce(plan: GapPlan, blocks: np.ndarray) -> list[GapPosterior]:
+    """Counts and log-likelihood of each point's (S, 5) blocks, all prob > 0.
+
+    Each point's reductions are one vector-matrix and one dot product over the
+    signatures, so a point's sums do not depend on the batch it came in.
+    """
+    prob = blocks[..., 0]
+    expected = plan.counts @ (blocks[..., 1:] / prob[..., None])
+    log_likelihood = np.log(prob)[:, None] @ plan.counts
+    return [
+        GapPosterior(*counts, value)
+        for counts, value in zip(expected.tolist(), log_likelihood.ravel().tolist())
+    ]
+
+
+def gap_posterior(dataset: ObservedDataset, params: ChannelParams) -> GapPosterior:
+    """gap_posteriors at one point; raises its ZeroProbabilityError."""
+    (result,) = gap_posteriors(dataset, (params,))
+    if isinstance(result, ZeroProbabilityError):
+        raise result
+    return result
 
 
 def incomplete_log_likelihood(dataset: ObservedDataset, params: ChannelParams) -> float:

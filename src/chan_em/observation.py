@@ -182,7 +182,7 @@ class ObservedDataset:
         """The gap kernel's dataset-only arrays, built on first use.
 
         Cached here so every E-M iterate on this dataset reuses them and
-        they are freed with it; see likelihood.gap_posterior.
+        they are freed with it; see likelihood.gap_posteriors.
         """
         from chan_em.likelihood import build_gap_plan  # likelihood imports us
 

@@ -33,22 +33,23 @@ def random_small_instance(
 
 @pytest.fixture
 def kernel_calls(monkeypatch):
-    """Parameters of every gap_posterior call, at each module that binds it.
+    """Every parameter point the gap kernel evaluates, in call order.
 
-    experiments binds none today: its scores reach the kernel through em and
-    likelihood, so their two sites count every call it makes.
+    Patches gap_posteriors, which every kernel call goes through (a
+    one-point gap_posterior call included), at each module that binds it;
+    a batched call records each of its points.
     """
     from chan_em import em, likelihood
     from chan_em.harness import experiments
 
     calls = []
-    original = likelihood.gap_posterior
+    original = likelihood.gap_posteriors
 
-    def counted(dataset, params):
-        calls.append(params)
-        return original(dataset, params)
+    def counted(dataset, points):
+        calls.extend(points)
+        return original(dataset, points)
 
     for module in (likelihood, em, experiments):
-        if "gap_posterior" in vars(module):
-            monkeypatch.setattr(module, "gap_posterior", counted)
+        if "gap_posteriors" in vars(module):
+            monkeypatch.setattr(module, "gap_posteriors", counted)
     return calls

@@ -336,6 +336,95 @@ class TestMultiStart:
             multi_start(dataset, [ChannelParams(0.5, 0.5)], EmConfig())
 
 
+def run_fields(report) -> tuple:
+    """What one E-M run produced, without the multi-start scores."""
+    return (
+        report.estimate,
+        report.start,
+        report.iterations_run,
+        report.log_likelihood,
+        report.trajectory,
+    )
+
+
+class TestLockstep:
+    """multi_start runs its starts in lockstep, each exactly as run_em alone."""
+
+    STARTS = [
+        ChannelParams(0.6, 0.5),
+        ChannelParams(0.2, 0.9),
+        ChannelParams(0.95, 0.05),
+        ChannelParams(0.3, 0.1),
+        ChannelParams(0.6, 0.5),
+    ]
+
+    @pytest.fixture(scope="class")
+    def dataset(self):
+        seq = simulate_chain(ChannelParams(0.8, 0.3), 30_000, seed=15)
+        return observe(seq, ObservationSchedule.random_uniform((1, 2), seed=15))
+
+    def test_reports_equal_independent_runs(self, dataset, monkeypatch):
+        from chan_em import em
+
+        config = EmConfig(
+            max_iterations=1000, param_tolerance=1e-5, record_trajectory=True
+        )
+        alone = [run_em(dataset, start, config) for start in self.STARTS]
+        stops = {report.iterations_run for report in alone}
+        assert len(stops) >= 3 and max(stops) < 1000  # starts stop at different iterates
+        calls = []
+
+        def counted(data, points):
+            calls.append(len(points))
+            return e_step(data, points)
+
+        monkeypatch.setattr(em, "e_step", counted)
+        _, reports = multi_start(dataset, self.STARTS, config)
+        assert [run_fields(r) for r in reports] == [run_fields(r) for r in alone]
+        for report in reports:
+            assert report.trajectory.converged_at == report.iterations_run
+        # one e_step call per iterate, over the starts still running
+        assert len(calls) == max(stops) + 1
+        assert calls == [
+            sum(r.iterations_run >= k for r in alone) for k in range(max(stops) + 1)
+        ]
+
+    def test_failed_start_drops_out_with_run_em_message(self, dataset, monkeypatch):
+        from chan_em import em
+
+        def failing(expected, clamp_epsilon=1e-9):
+            updated = m_step(expected, clamp_epsilon)
+            if updated.alpha > 0.85:  # start 1 at iteration 10, start 2 at 1
+                raise InsufficientDataError("update left the test region")
+            return updated
+
+        monkeypatch.setattr(em, "m_step", failing)
+        config = EmConfig(max_iterations=60, record_trajectory=True)
+        messages, alone = {}, {}
+        for index, start in enumerate(self.STARTS):
+            try:
+                alone[index] = run_em(dataset, start, config)
+            except InsufficientDataError as exc:
+                assert str(exc).startswith("iteration ")
+                assert isinstance(exc.__cause__, InsufficientDataError)
+                messages[index] = f"start {index} ({start.alpha}, {start.beta}): {exc}"
+        assert sorted(messages) == [1, 2] and "iteration 10: " in messages[1]
+        _, reports = multi_start(dataset, self.STARTS, config)
+        assert [run_fields(r) for r in reports] == [
+            run_fields(alone[i]) for i in sorted(alone)
+        ]
+        failing_starts = [self.STARTS[i] for i in sorted(messages)]
+        with pytest.raises(AllStartsFailedError) as info:
+            multi_start(dataset, failing_starts, config)
+        renumbered = [
+            message.split(": ", 1)[1] for _, message in sorted(messages.items())
+        ]
+        assert str(info.value) == "; ".join(
+            f"start {k} ({s.alpha}, {s.beta}): {m}"
+            for k, (s, m) in enumerate(zip(failing_starts, renumbered))
+        )
+
+
 class TestHeuristicStarts:
     def test_on_occupancy_line(self):
         # 3 of 11 observations occupied: slope = 0.375, truth (0.8, 0.3) on it

@@ -97,11 +97,11 @@ INVALID_MUTATIONS = [
     {"em": {"param_tolerance": 10**400}},
     {"schedule": {"kind": "fixed", "skip": 100_000_000}},
     {"observed_slots": 10**9},
-    {"em": {"max_iterations": 5_501_050}},
+    {"em": {"max_iterations": 5_499_750}},
     {"grid": {"step": 1e-5}},
     {"grid": {"step": 0.0002}},
     {"grid": {"step": 5e-324}},
-    {"starts": {"heuristic_count": 354_907}},
+    {"starts": {"heuristic_count": 354_823}},
     {"schedule": {"kind": "random-uniform", "support": [1, 2], "seed": -1}},
     {"schedule": {"kind": "random-uniform", "support": [1, 2], "seed": None}},
     {"grid": {"step": 0.03}},
@@ -115,13 +115,14 @@ INVALID_MUTATIONS = [
 ]
 
 # each entry, merged into small_config, stays within the work budget: its
-# gap-kernel work in signature evaluations is noted (the limit is 44 008 404)
+# gap-kernel work in signature evaluations, the default 51 x 51 grid counted
+# where no grid is given, is noted (the limit is 44 008 404)
 WITHIN_BUDGET = [
-    {"em": {"max_iterations": 100_001}},  # 800 016
+    {"em": {"max_iterations": 100_001}},  # 810 420
     {"grid": {"step": 0.0005}},  # 16 016 252
-    {"starts": {"heuristic_count": 101}},  # 12 524
-    {"em": {"max_iterations": 5_501_049}},  # 44 008 400
-    {"starts": {"heuristic_count": 354_906}},  # 44 008 344
+    {"starts": {"heuristic_count": 101}},  # 22 928
+    {"em": {"max_iterations": 5_499_749}},  # 44 008 404
+    {"starts": {"heuristic_count": 354_822}},  # 44 008 332
 ]
 
 # over-budget runs of the presets: (command, preset, --paper-scale, file overrides)
@@ -195,7 +196,7 @@ class TestParseConfig:
         assert config.em.record_trajectory is True
         assert config.master_seed == 7
         assert config.output_dir == tmp_path
-        assert config.grid is None
+        assert config.grid == GridSpec()
         assert config.write_sequence is False
 
     def test_single_params_object_allowed(self, tmp_path):
@@ -227,6 +228,32 @@ class TestParseConfig:
         data = small_config(tmp_path)
         data.update(mutation)
         parse_config(data)
+
+    @pytest.mark.parametrize("iterations", [5_499_749, 5_499_750])
+    def test_missing_grid_is_budgeted_as_the_default(self, tmp_path, iterations):
+        # se-grid evaluates GridSpec() when no grid is given, so the budget
+        # counts its 2601 points too; these two iterations straddle the limit
+        implicit = small_config(tmp_path, em={"max_iterations": iterations})
+        explicit = dict(implicit, grid={"step": 0.02, "bounds": [0.0, 1.0]})
+        outcomes = []
+        for data in (implicit, explicit):
+            try:
+                outcomes.append(parse_config(data))
+            except ConfigError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
+
+    @pytest.mark.parametrize(
+        "mutation",
+        [{"grid": {"step": 1e-300}}, {"observed_slots": 10**400}],
+    )
+    def test_budget_error_is_short(self, tmp_path, mutation):
+        # estimates of 601 and 401 digits print in scientific form
+        data = small_config(tmp_path)
+        data.update(mutation)
+        with pytest.raises(ConfigError, match=r"needs up to \d\.\d{4}e\+\d+ ") as info:
+            parse_config(data)
+        assert len(str(info.value)) < 80
 
     @pytest.mark.parametrize("name", OVER_BUDGET_PRESETS)
     def test_over_budget_presets_rejected(self, name):

@@ -32,7 +32,7 @@ from chan_em import (
     transition_powers,
 )
 from chan_em import likelihood
-from chan_em.likelihood import gap_posterior
+from chan_em.likelihood import gap_posterior, gap_posteriors
 from conftest import random_small_instance
 
 
@@ -294,6 +294,108 @@ class TestGapPlan:
                     assert value == pytest.approx(
                         n_step_matrix(params, hidden + 1)[a, b], rel=1e-12
                     )
+
+
+def random_points(rng: np.random.Generator, count: int) -> list[ChannelParams]:
+    """Interior points, a third of them within 1e-6 of a corner of the square."""
+    points = []
+    for _ in range(count):
+        a, b = rng.uniform(0.0, 1.0, size=2)
+        if rng.random() < 1 / 3:
+            a, b = rng.choice([1e-9, 1e-6, 1 - 1e-6, 1 - 1e-9], size=2)
+        points.append(ChannelParams(float(a), float(b)))
+    return points
+
+
+def unbatched_posterior(dataset: ObservedDataset, params: ChannelParams) -> tuple:
+    """The kernel's arithmetic on one 2-D M, with no stacking or shortcut."""
+    plan = dataset.gap_plan
+    M = np.zeros((10, 10))
+    M[likelihood._M_ROW, likelihood._M_COL] = transition_matrix(params).ravel()[
+        likelihood._M_SRC
+    ]
+    rows, power = np.eye(10)[plan.start], M
+    for bit, mask in enumerate(plan.bits):
+        if bit:
+            power = power @ power
+        rows = np.where(mask, rows @ power, rows)
+    blocks = rows.take(plan.gather)
+    prob = blocks[:, 0]
+    expected = plan.counts @ (blocks[:, 1:] / prob[:, None])
+    return (*map(float, expected), float(plan.counts @ np.log(prob)))
+
+
+class TestBatchedKernel:
+    """gap_posteriors: every point as a one-point call, whatever the batch."""
+
+    def test_equals_one_point_calls_bit_for_bit(self):
+        rng = np.random.default_rng(50)
+        for max_hidden in (0, 5, 900, 100_000):
+            gaps = rng.integers(0, max_hidden + 1, size=199)
+            times = np.concatenate(([1], 1 + np.cumsum(gaps + 1)))
+            dataset = ObservedDataset(times=times, states=rng.integers(0, 2, size=200))
+            for count in (1, 2, 3, 8):
+                points = random_points(rng, count)
+                batch = gap_posteriors(dataset, points)
+                assert batch == [gap_posterior(dataset, p) for p in points]
+                assert [(*r.as_tuple(), r.log_likelihood) for r in batch] == [
+                    unbatched_posterior(dataset, p) for p in points
+                ]
+                # and no point depends on its neighbours in the batch
+                assert gap_posteriors(dataset, points[::-1]) == batch[::-1]
+
+    def test_matches_oracles(self):
+        rng = np.random.default_rng(51)
+        for _ in range(30):
+            dataset, _ = random_small_instance(rng)
+            points = random_points(rng, int(rng.integers(2, 6)))
+            for point, result in zip(points, gap_posteriors(dataset, points)):
+                assert math.exp(result.log_likelihood) == pytest.approx(
+                    brute_force_likelihood(dataset, point), rel=1e-10
+                )
+                oracle = brute_force_expected_stats(dataset, point)
+                for got, want in zip(result.as_tuple(), oracle.as_tuple()):
+                    assert got == pytest.approx(want, rel=1e-10, abs=1e-12)
+
+    @pytest.mark.parametrize("per_call", [1, 2, 3])
+    def test_batch_split_over_the_row_limit(self, monkeypatch, per_call):
+        rng = np.random.default_rng(52)
+        dataset, _ = random_small_instance(rng)
+        points = random_points(rng, 7)
+        whole = gap_posteriors(dataset, points)
+        signatures = len(dataset.gap_histogram[0])
+        sizes = []
+        original = likelihood._posteriors
+
+        def recorded(plan, chunk):
+            sizes.append(len(chunk))
+            return original(plan, chunk)
+
+        monkeypatch.setattr(likelihood, "_posteriors", recorded)
+        monkeypatch.setattr(likelihood, "MAX_BATCH_ROWS", per_call * signatures)
+        split = gap_posteriors(dataset, points)
+        assert split == whole
+        assert sizes == {1: [1] * 7, 2: [2, 2, 2, 1], 3: [3, 3, 1]}[per_call]
+        for point, result in zip(points, split):
+            assert math.exp(result.log_likelihood) == pytest.approx(
+                brute_force_likelihood(dataset, point), rel=1e-10
+            )
+
+    def test_zero_probability_point_leaves_the_others(self):
+        # alpha = beta = 1 alternates deterministically: 0 -> 1 in 2 steps is impossible
+        dataset = ObservedDataset(times=[1, 2, 4], states=[1, 0, 1])
+        points = [ChannelParams(0.5, 0.5), ChannelParams(1.0, 1.0), ChannelParams(0.3, 0.2)]
+        first, failed, last = gap_posteriors(dataset, points)
+        assert isinstance(failed, ZeroProbabilityError)
+        assert str(failed) == "gap 0->1 over 2 steps has zero probability"
+        assert [first, last] == [gap_posterior(dataset, p) for p in points[::2]]
+
+    def test_e_step_batches_interior_points_only(self):
+        dataset = ObservedDataset(times=[1, 3, 4], states=[0, 1, 1])
+        points = [ChannelParams(0.4, 0.6), ChannelParams(0.7, 0.2)]
+        assert e_step(dataset, points) == [e_step(dataset, p) for p in points]
+        with pytest.raises(BoundaryParameterError):
+            e_step(dataset, [ChannelParams(0.4, 0.6), ChannelParams(0.0, 0.5)])
 
 
 def exact_gap_values(alpha: float, beta: float, hidden_lengths: list[int]) -> dict:
