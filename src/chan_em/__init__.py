@@ -18,6 +18,7 @@ from chan_em.em import (
     multi_start,
     relative_error,
     run_em,
+    score_against_truth,
 )
 from chan_em.errors import (
     AllStartsFailedError,
@@ -63,10 +64,8 @@ from chan_em.markov import (
     utilization,
 )
 from chan_em.observation import (
-    Gap,
     ObservationSchedule,
     ObservedDataset,
-    gaps,
     observe,
 )
 
@@ -84,7 +83,6 @@ __all__ = [
     "EmTrajectory",
     "EnumerationLimitError",
     "EstimateReport",
-    "Gap",
     "IDLE",
     "InsufficientDataError",
     "MAX_ENUMERATION_HIDDEN",
@@ -102,7 +100,6 @@ __all__ = [
     "count_statistics",
     "e_step",
     "from_natural",
-    "gaps",
     "geometric_mean_likelihood",
     "heuristic_starts",
     "incomplete_log_likelihood",
@@ -115,6 +112,7 @@ __all__ = [
     "rank_channels",
     "relative_error",
     "run_em",
+    "score_against_truth",
     "se_db_between",
     "simulate_chain",
     "squared_error_db",

@@ -22,6 +22,9 @@ e_step call, and so one kernel call, for all starts still running, with the
 Van Loan matrices of the starts stacked. run_em is that loop with one start,
 multi_start with all of its starts; each start stops on its own tolerance
 and gets exactly the iterates, trajectory and errors it would get alone.
+
+The fit never sees the true parameters. score_against_truth scores finished
+runs against a known truth, for simulations only.
 """
 
 from __future__ import annotations
@@ -100,8 +103,7 @@ class EstimateReport:
     """Outcome of one E-M run: the estimate plus where it came from.
 
     log_likelihood is the estimate's, read off the run's last E-step. se_db
-    and gamma_percent stay None until a reference is known (a truth, or the
-    best run of a multi-start).
+    and gamma_percent stay None unless score_against_truth sets them.
     """
 
     estimate: ChannelParams
@@ -234,48 +236,31 @@ def _lockstep(
 
 
 def run_em(
-    dataset: ObservedDataset,
-    start: ChannelParams,
-    config: EmConfig = EmConfig(),
-    truth: ChannelParams | None = None,
+    dataset: ObservedDataset, start: ChannelParams, config: EmConfig = EmConfig()
 ) -> EstimateReport:
-    """Run E-M from one start; optionally score against a known truth.
+    """Run E-M from one start.
 
     The start is clamped into the open unit square before the first E-step.
     Each E-step also yields its iterate's log-likelihood, so N updates cost
-    N+1 kernel evaluations. When truth is given, se_db scores the estimate's
-    per-transition likelihood against the truth's and gamma_percent the
-    parameter error.
+    N+1 kernel evaluations.
     """
     (report,) = _lockstep(dataset, [start], config)
     if isinstance(report, ChanEmError):
         raise report
-    if truth is not None:
-        eps = config.clamp_epsilon
-        truth_value = geometric_mean_likelihood(dataset, truth.clamped(eps))
-        estimate_value = math.exp(report.log_likelihood / dataset.num_transitions)
-        report.se_db = se_db_between(estimate_value, truth_value)
-        report.gamma_percent = relative_error(report.estimate, truth)
     return report
 
 
 def multi_start(
-    dataset: ObservedDataset,
-    starts: list[ChannelParams],
-    config: EmConfig = EmConfig(),
-    truth: ChannelParams | None = None,
+    dataset: ObservedDataset, starts: list[ChannelParams], config: EmConfig = EmConfig()
 ) -> tuple[EstimateReport, list[EstimateReport]]:
-    """Run E-M from several starts in lockstep and pick the best run.
+    """Run E-M from several starts in lockstep and pick the most likely run.
 
     Every start's run equals run_em from that start alone, at one kernel call
-    per iterate for all starts still running. Every report's se_db is scored
-    against one shared target value: the truth's per-transition likelihood
-    when a truth is given, otherwise the best per-transition likelihood
-    attained by any run. The winner minimizes se_db, ties broken by higher
-    final log-likelihood then lower start index. With a truth, gamma_percent
-    is each run's parameter error against it. Returns (winner, reports in
-    start order); failed starts are dropped from the list, and
-    AllStartsFailedError aggregates the causes when no start survives.
+    per iterate for all starts still running. The winner has the highest
+    final log-likelihood, ties going to the lower start index. Returns
+    (winner, reports in start order); failed starts are dropped from the
+    list, and AllStartsFailedError aggregates the causes when no start
+    survives.
     """
     if not starts:
         raise ValueError("need at least one start")
@@ -290,22 +275,29 @@ def multi_start(
             reports.append(outcome)
     if not reports:
         raise AllStartsFailedError("; ".join(failures))
-    values = [np.exp(r.log_likelihood / dataset.num_transitions) for r in reports]
-    if truth is not None:
-        target = geometric_mean_likelihood(
-            dataset, truth.clamped(config.clamp_epsilon)
-        )
-    else:
-        target = max(values)
-    for report, value in zip(reports, values):
+    return max(reports, key=lambda r: r.log_likelihood), reports
+
+
+def score_against_truth(
+    dataset: ObservedDataset,
+    reports: Sequence[EstimateReport],
+    truth: ChannelParams,
+    clamp_epsilon: float = 1e-9,
+) -> EstimateReport:
+    """Score fitted runs against a known truth; return the truth-side winner.
+
+    A simulation diagnostic, never an input to the fit. Sets each report's
+    se_db, the squared gap in dB between its per-transition likelihood and
+    the clamped truth's, and gamma_percent, its relative parameter error.
+    The winner has the lowest se_db, ties broken by higher log-likelihood
+    then lower index. One kernel call scores the truth.
+    """
+    target = geometric_mean_likelihood(dataset, truth.clamped(clamp_epsilon))
+    for report in reports:
+        value = np.exp(report.log_likelihood / dataset.num_transitions)
         report.se_db = se_db_between(float(value), float(target))
-        if truth is not None:
-            report.gamma_percent = relative_error(report.estimate, truth)
-    best_index = min(
-        range(len(reports)),
-        key=lambda i: (reports[i].se_db, -reports[i].log_likelihood, i),
-    )
-    return reports[best_index], reports
+        report.gamma_percent = relative_error(report.estimate, truth)
+    return min(reports, key=lambda r: (r.se_db, -r.log_likelihood))
 
 
 def heuristic_starts(

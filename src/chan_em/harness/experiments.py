@@ -23,6 +23,7 @@ from chan_em.em import (
     multi_start,
     relative_error,
     run_em,
+    score_against_truth,
 )
 from chan_em.errors import ConfigError
 from chan_em.harness.config import ExperimentConfig, config_hash
@@ -163,21 +164,26 @@ def cmd_simulate(config: ExperimentConfig, resolved: dict) -> list[Path]:
 
 def _run_single_channel(
     config: ExperimentConfig,
-) -> tuple[ObservedDataset, EstimateReport, list[EstimateReport]]:
+) -> tuple[EstimateReport, list[EstimateReport]]:
+    """Fit every start, then score the runs against the truth.
+
+    The winner returned is the truth-side one (lowest se_db), a diagnostic
+    of the simulation rather than an estimate.
+    """
     truth = config.single_channel()
     _check_truths([truth])
     dataset, _ = realize_dataset(
         truth, config.schedule, config.observed_slots, config.master_seed
     )
-    starts = _resolve_starts(config, dataset)
-    winner, reports = multi_start(dataset, starts, config.em, truth=truth)
-    return dataset, winner, reports
+    _, reports = multi_start(dataset, _resolve_starts(config, dataset), config.em)
+    winner = score_against_truth(dataset, reports, truth, config.em.clamp_epsilon)
+    return winner, reports
 
 
 def cmd_trajectories(config: ExperimentConfig, resolved: dict) -> list[Path]:
     """Per-start iteration traces plus a summary of the final estimates."""
     config = _ensure_recording(config)
-    _, winner, reports = _run_single_channel(config)
+    winner, reports = _run_single_channel(config)
     out = _out_dir(config)
     meta = _meta(config, resolved, "trajectories")
     written = []
@@ -214,7 +220,7 @@ def cmd_trajectories(config: ExperimentConfig, resolved: dict) -> list[Path]:
 
 def cmd_table1(config: ExperimentConfig, resolved: dict) -> list[Path]:
     """Final estimates per start as one CSV table, winner flagged."""
-    _, winner, reports = _run_single_channel(config)
+    winner, reports = _run_single_channel(config)
     rows = [
         (
             report.start.alpha,
@@ -265,16 +271,17 @@ def _estimate_channels(
 ) -> list[tuple[ChannelParams, EstimateReport]]:
     """Simulate, observe, and estimate every configured channel."""
     channels = list(config.true_params)
-    explicit: list[ChannelParams] | None
     if isinstance(config.starts, int):
-        explicit = None
-    else:
-        if len(config.starts) != len(channels):
+        if config.starts != 1:
             raise ConfigError(
-                f"multichannel runs pair starts with channels one to one, "
-                f"got {len(config.starts)} starts for {len(channels)} channels"
+                f"multichannel runs fit one heuristic start per channel, "
+                f"got heuristic_count {config.starts}"
             )
-        explicit = list(config.starts)
+    elif len(config.starts) != len(channels):
+        raise ConfigError(
+            f"multichannel runs pair starts with channels one to one, "
+            f"got {len(config.starts)} starts for {len(channels)} channels"
+        )
     _check_truths(channels)
     results = []
     for index, truth in enumerate(channels):
@@ -285,11 +292,12 @@ def _estimate_channels(
             config.master_seed,
             channel_index=index,
         )
-        if explicit is None:
+        if isinstance(config.starts, int):
             start = heuristic_starts(dataset, 1, config.em.clamp_epsilon)[0]
         else:
-            start = explicit[index]
-        report = run_em(dataset, start, config.em, truth=truth)
+            start = config.starts[index]
+        report = run_em(dataset, start, config.em)
+        score_against_truth(dataset, [report], truth, config.em.clamp_epsilon)
         results.append((truth, report))
     return results
 
@@ -350,7 +358,7 @@ def cmd_rank(config: ExperimentConfig, resolved: dict) -> list[Path]:
     # close-call rule: flag adjacent channels whose estimated utilization
     # gap is inside the error band implied by the parameter errors
     deltas = [
-        2.0 * ((gamma or 0.0) / 100.0) * u_hat * (1.0 - u_hat)
+        2.0 * (gamma / 100.0) * u_hat * (1.0 - u_hat)
         for u_hat, gamma in zip(u_hats, gammas)
     ]
     close_pairs = []

@@ -15,7 +15,7 @@ import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -27,14 +27,6 @@ if TYPE_CHECKING:
 _SCHEDULE_KINDS = ("fixed", "random-uniform")
 _WRITE_BLOCK = 1 << 16  # rows per formatted write of a slot-state CSV
 _POWERS_OF_TEN = 10 ** np.arange(1, 19, dtype=np.int64)  # digit-count thresholds
-
-
-class Gap(NamedTuple):
-    """One segment between consecutive observations."""
-
-    start_state: int
-    end_state: int
-    hidden_len: int
 
 
 @dataclass(frozen=True)
@@ -311,11 +303,3 @@ def observe(sequence: np.ndarray, schedule: ObservationSchedule) -> ObservedData
         )
     return ObservedDataset(times=times, states=seq[times - 1])
 
-
-def gaps(dataset: ObservedDataset) -> list[Gap]:
-    """Per-gap (start_state, end_state, hidden_len) triples in dataset order."""
-    hidden = dataset.times[1:] - dataset.times[:-1] - 1
-    return [
-        Gap(int(a), int(b), int(g))
-        for a, b, g in zip(dataset.states[:-1], dataset.states[1:], hidden)
-    ]

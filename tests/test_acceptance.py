@@ -29,6 +29,7 @@ from chan_em import (
     n_step_matrix,
     relative_error,
     run_em,
+    score_against_truth,
     simulate_chain,
     to_natural,
 )
@@ -52,7 +53,8 @@ def study_runs():
     dataset, _ = realize_dataset(
         truth, config.schedule, config.observed_slots, config.master_seed
     )
-    winner, reports = multi_start(dataset, list(config.starts), config.em, truth=truth)
+    _, reports = multi_start(dataset, list(config.starts), config.em)
+    winner = score_against_truth(dataset, reports, truth, config.em.clamp_epsilon)
     return truth, winner, reports
 
 
@@ -71,7 +73,7 @@ def field_runs():
             dataset, _ = realize_dataset(
                 truth, schedule, 100_000, master_seed, channel_index=index
             )
-            runs.append((truth, run_em(dataset, start, em, truth=truth)))
+            runs.append((truth, run_em(dataset, start, em)))
         by_seed[master_seed] = runs
     return by_seed
 

@@ -784,6 +784,23 @@ class TestCli:
         else:
             assert len(realized) == 1
 
+    @pytest.mark.parametrize("command", ["multichannel", "rank"])
+    @pytest.mark.parametrize("count, exit_code", [(3, 2), (1, 0)])
+    def test_one_heuristic_start_per_channel(
+        self, tmp_path, capsys, command, count, exit_code
+    ):
+        path = self.config_file(
+            tmp_path,
+            true_params=[{"alpha": 0.8, "beta": 0.3}, {"alpha": 0.2, "beta": 0.9}],
+            starts={"heuristic_count": count},
+        )
+        assert main([command, "--config", str(path)]) == exit_code
+        err = capsys.readouterr().err
+        if exit_code == 2:
+            assert "heuristic_count 3" in err
+            assert "Traceback" not in err
+            assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("name", OVER_BUDGET_PRESETS)
     def test_over_budget_preset_exits_2(self, tmp_path, capsys, name):
         command, preset, paper_scale, overrides = OVER_BUDGET_PRESETS[name]

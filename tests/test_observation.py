@@ -10,12 +10,10 @@ import pytest
 
 from chan_em import (
     ChannelParams,
-    Gap,
     InsufficientDataError,
     ObservationSchedule,
     ObservedDataset,
     count_statistics,
-    gaps,
     observe,
     simulate_chain,
 )
@@ -180,25 +178,6 @@ class TestObservedDataset:
             signatures, counts = dataset.gap_histogram
             spanned = int((counts * (signatures[:, 2] + 1)).sum())
             assert spanned == dataset.num_transitions
-
-
-class TestGaps:
-    def test_worked_example(self):
-        dataset = ObservedDataset(times=[1, 5], states=[0, 1])
-        assert gaps(dataset) == [Gap(0, 1, 3)]
-
-    def test_consecutive(self):
-        dataset = ObservedDataset(times=[1, 2, 3], states=[0, 0, 1])
-        assert gaps(dataset) == [Gap(0, 0, 0), Gap(0, 1, 0)]
-
-    def test_fixed_schedule_gaps_constant(self):
-        seq = simulate_chain(ChannelParams(0.5, 0.4), 1000, seed=4)
-        dataset = observe(seq, ObservationSchedule.fixed(4))
-        assert all(g.hidden_len == 4 for g in gaps(dataset))
-
-    def test_total_coverage(self):
-        dataset = ObservedDataset(times=[1, 4, 6, 11], states=[0, 1, 1, 0])
-        assert sum(g.hidden_len + 1 for g in gaps(dataset)) == dataset.num_transitions
 
 
 class TestCsvRoundTrip:
