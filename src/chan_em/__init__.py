@@ -59,7 +59,6 @@ from chan_em.markov import (
     ChannelParams,
     rank_channels,
     simulate_chain,
-    stationary_distribution,
     transition_matrix,
     utilization,
 )
@@ -116,7 +115,6 @@ __all__ = [
     "se_db_between",
     "simulate_chain",
     "squared_error_db",
-    "stationary_distribution",
     "to_natural",
     "transition_matrix",
     "transition_powers",

@@ -13,9 +13,9 @@ matrix (Van Loan 1978), formed for all signatures at once by repeated
 squaring in likelihood.gap_posteriors. Its dataset-only arrays are built once
 per dataset (ObservedDataset.gap_plan), so one E-step costs the bit loop over
 the signatures, O(signatures x log max gap), and also yields the
-log-likelihood. The M-step is the complete-data ratio estimator on the
-expected counts, clamped into the open unit square so log-likelihoods stay
-finite.
+log-likelihood. The M-step is expfam.mle_complete, the complete-data ratio
+estimator, on the expected counts, clamped into the open unit square so
+log-likelihoods stay finite.
 
 Every start of one dataset runs in lockstep: each E-M iterate makes one
 e_step call, and so one kernel call, for all starts still running, with the
@@ -41,9 +41,8 @@ from chan_em.errors import (
     ChanEmError,
     DegenerateObservationsError,
     DegenerateParametersError,
-    InsufficientDataError,
 )
-from chan_em.expfam import SufficientStats
+from chan_em.expfam import SufficientStats, mle_complete
 from chan_em.likelihood import (
     GapPosterior,
     gap_posterior,
@@ -149,15 +148,13 @@ def e_step(
 
 
 def m_step(expected: SufficientStats, clamp_epsilon: float = 1e-9) -> ChannelParams:
-    """Ratio estimator on expected counts, clamped into the open unit square."""
-    if expected.from_occ <= 0 or expected.from_idle <= 0:
-        raise InsufficientDataError(
-            "expected counts give an empty denominator for one parameter"
-        )
-    lo, hi = clamp_epsilon, 1.0 - clamp_epsilon
-    alpha = min(max(expected.occ_to_idle / expected.from_occ, lo), hi)
-    beta = min(max(expected.idle_to_occ / expected.from_idle, lo), hi)
-    return ChannelParams(alpha, beta)
+    """mle_complete on the expected counts, clamped into [eps, 1 - eps].
+
+    The complete-data estimator applied to expected counts is the M-step
+    (Dempster, Laird & Rubin 1977). Raises mle_complete's
+    InsufficientDataError when either expected denominator is zero.
+    """
+    return mle_complete(expected).clamped(clamp_epsilon)
 
 
 def relative_error(estimate: ChannelParams, truth: ChannelParams) -> float:

@@ -89,7 +89,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         config, resolved = resolve_config(args)
-        written = _COMMANDS[args.command](config, resolved)
+        for path in _COMMANDS[args.command](config, resolved):
+            print(f"wrote {path}")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -98,9 +99,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_NUMERICAL
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    for path in written:
-        print(f"wrote {path}")
+        return EXIT_IO  # also stdout closing early, as under `| head -1`
     return EXIT_OK
 
 

@@ -149,6 +149,13 @@ def _as_str(value: Any, where: str) -> str:
     return value
 
 
+def _as_path(value: Any, where: str) -> Path:
+    text = _as_str(value, where)
+    if "\0" in text:  # no file system takes it; os calls raise ValueError
+        raise ConfigError(f"{where} must not contain a NUL character, got {text!r}")
+    return Path(text)
+
+
 def _list_of(parse: Parser, length: int | None = None) -> Parser:
     """Parser of a JSON list (of exactly `length` entries, if given) into a tuple."""
 
@@ -225,7 +232,7 @@ _config = _section(
             },
         ),
         "master_seed": _as_int,
-        "output_dir": lambda value, where: Path(_as_str(value, where)),
+        "output_dir": _as_path,
         "grid": _section(
             GridSpec, {"step": _as_number, "bounds": _list_of(_as_number, length=2)}
         ),
@@ -240,14 +247,15 @@ def parse_config(data: Any) -> ExperimentConfig:
 
 
 def load_config_file(path: str | Path) -> dict:
-    """Read a JSON config file into a plain dict (no validation yet)."""
+    """Read a UTF-8 JSON config file into a plain dict (no validation yet)."""
     try:
-        text = Path(path).read_text()
+        raw = Path(path).read_bytes()
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     try:
-        data = json.loads(text)
-    except ValueError as exc:  # JSONDecodeError, or an int past the digit limit
+        data = json.loads(raw.decode("utf-8"))
+    # ValueError: not UTF-8, not JSON, or an int past the digit limit
+    except (ValueError, RecursionError) as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError("config file must contain a JSON object")

@@ -101,12 +101,6 @@ def _meta(config: ExperimentConfig, resolved: dict, command: str) -> dict[str, A
     }
 
 
-def _format_value(value: Any) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _write_csv(
     path: Path, meta: dict[str, Any], header: list[str], rows: Iterable[Iterable[Any]]
 ) -> None:
@@ -115,7 +109,7 @@ def _write_csv(
             fh.write(f"# {key}: {value}\n")
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(_format_value(v) for v in row) + "\n")
+            fh.write(",".join(map(str, row)) + "\n")  # str(float) is its repr
 
 
 def _write_json(path: Path, payload: dict[str, Any]) -> None:
@@ -150,10 +144,8 @@ def cmd_simulate(config: ExperimentConfig, resolved: dict) -> list[Path]:
         seq_path = out / "sequence.csv"
         write_slot_states(seq_path, None, sequence, meta)  # slots 1..len(sequence)
         written.append(seq_path)
-    signatures, counts = dataset.gap_histogram
-    hist: dict[int, int] = {}
-    for (_, _, g), count in zip(signatures.tolist(), counts.tolist()):
-        hist[g] = hist.get(g, 0) + count
+    hidden, counts = np.unique(np.diff(dataset.times) - 1, return_counts=True)
+    hist = dict(zip(hidden.tolist(), counts.tolist()))
     print(
         f"simulate: {dataset.num_observations} observations over "
         f"{int(dataset.times[-1])} slots, hidden-length histogram "
@@ -271,7 +263,8 @@ def _estimate_channels(
 ) -> list[tuple[ChannelParams, EstimateReport]]:
     """Simulate, observe, and estimate every configured channel."""
     channels = list(config.true_params)
-    if isinstance(config.starts, int):
+    heuristic = isinstance(config.starts, int)
+    if heuristic:
         if config.starts != 1:
             raise ConfigError(
                 f"multichannel runs fit one heuristic start per channel, "
@@ -292,10 +285,7 @@ def _estimate_channels(
             config.master_seed,
             channel_index=index,
         )
-        if isinstance(config.starts, int):
-            start = heuristic_starts(dataset, 1, config.em.clamp_epsilon)[0]
-        else:
-            start = config.starts[index]
+        start = _resolve_starts(config, dataset)[0 if heuristic else index]
         report = run_em(dataset, start, config.em)
         score_against_truth(dataset, [report], truth, config.em.clamp_epsilon)
         results.append((truth, report))

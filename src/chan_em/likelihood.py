@@ -160,6 +160,10 @@ def gap_posteriors(
 def _posteriors(
     plan: GapPlan, points: Sequence[ChannelParams]
 ) -> list[GapPosterior | ZeroProbabilityError]:
+    """One batch of gap_posteriors: the bit loop, then one _reduce call.
+
+    Each point with a zero-probability signature gets its ZeroProbabilityError.
+    """
     # entries of transition_matrix(p).ravel(), then 0.0 and 1.0
     entries = np.array(
         [(1.0 - p.alpha, p.alpha, p.beta, 1.0 - p.beta, 0.0, 1.0) for p in points]
@@ -176,21 +180,21 @@ def _posteriors(
     # blocks[p, i, k] = entry (start_i, end_i) of block k of M^(g_i + 1) at point p
     blocks = rows.reshape(len(points), -1).take(plan.gather, axis=1)
     positive = blocks[..., 0] > 0.0
-    if positive.all():
-        return _reduce(plan, blocks)
-    results: list[GapPosterior | ZeroProbabilityError] = []
-    for block, fine in zip(blocks, positive):
-        if fine.all():
-            results += _reduce(plan, block[None])
-            continue
-        i = int(np.argmin(fine))
-        results.append(
-            ZeroProbabilityError(
-                f"gap {int(plan.start[i])}->{int(plan.end[i])} over "
-                f"{int(plan.steps[i])} steps has zero probability"
-            )
-        )
-    return results
+    fine = positive.all(axis=1)
+    reduced = iter(_reduce(plan, blocks.compress(fine, axis=0)))
+    return [
+        next(reduced) if ok else _zero_gap(plan, positive[i])
+        for i, ok in enumerate(fine.tolist())
+    ]
+
+
+def _zero_gap(plan: GapPlan, positive: np.ndarray) -> ZeroProbabilityError:
+    """The error naming a point's first signature of probability zero."""
+    i = int(np.argmin(positive))
+    return ZeroProbabilityError(
+        f"gap {int(plan.start[i])}->{int(plan.end[i])} over "
+        f"{int(plan.steps[i])} steps has zero probability"
+    )
 
 
 def _reduce(plan: GapPlan, blocks: np.ndarray) -> list[GapPosterior]:

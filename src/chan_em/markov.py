@@ -38,8 +38,13 @@ class ChannelParams:
         return (self.alpha, self.beta)
 
     def clamped(self, epsilon: float) -> ChannelParams:
-        """Copy with both probabilities pushed into [epsilon, 1 - epsilon]."""
+        """Both probabilities pushed into [epsilon, 1 - epsilon].
+
+        Self when both already lie there, so an M-step builds no second object.
+        """
         lo, hi = epsilon, 1.0 - epsilon
+        if lo <= self.alpha <= hi and lo <= self.beta <= hi:
+            return self
         return ChannelParams(
             min(max(self.alpha, lo), hi),
             min(max(self.beta, lo), hi),
@@ -63,12 +68,6 @@ def utilization(params: ChannelParams) -> float:
             "alpha = beta = 0 leaves every state absorbing, no unique stationary law"
         )
     return params.beta / s
-
-
-def stationary_distribution(params: ChannelParams) -> np.ndarray:
-    """Stationary row vector (P(occupied), P(idle))."""
-    u = utilization(params)
-    return np.array([u, 1.0 - u])
 
 
 def simulate_chain(

@@ -97,6 +97,12 @@ class TestMStep:
         with pytest.raises(InsufficientDataError):
             m_step(in_stats(0.0, 1.0, 0.0, 5.0))
 
+    def test_count_slack_clamps_to_one_minus_eps(self):
+        # SufficientStats admits occ_to_idle above from_occ by under _COUNT_SLACK
+        est = m_step(in_stats(100.00000005, 10.0, 100.0, 50.0), clamp_epsilon=1e-6)
+        assert est.alpha == 1.0 - 1e-6
+        assert est.beta == 0.2
+
     def test_complete_data_fixed_point(self):
         # starting anywhere, one E-M round on complete data lands on the MLE
         rng = np.random.default_rng(22)

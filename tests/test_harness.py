@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import io
 import json
+import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -70,6 +73,7 @@ def meta_of(path: Path) -> dict[str, str]:
 # each entry, merged into small_config at the top level, makes the config invalid
 INVALID_MUTATIONS = [
     {"unknown_top": 1},
+    {"output_dir": "out/a\u0000b"},
     {"schedule": {"kind": "fixed", "skip": 4, "bogus": 1}},
     {"schedule": {"kind": "fixed", "skip": 4, "seed": 3}},
     {"schedule": {"kind": "random-uniform", "support": [1, 2], "skip": 3}},
@@ -428,6 +432,18 @@ class TestCmdSimulate:
         seq_rows = data_rows(seq_path)
         assert len(obs_rows) == len(seq_rows) == observed_slots
         assert obs_rows == seq_rows
+
+    def test_hidden_length_histogram_matches_file(self, tmp_path, capsys):
+        schedule = {"kind": "random-uniform", "support": [1, 2, 10]}
+        config = parse_config(
+            small_config(tmp_path, observed_slots=500, schedule=schedule)
+        )
+        path = cmd_simulate(config, {})[0]
+        printed = capsys.readouterr().out.split("hidden-length histogram ", 1)[1]
+        times = ObservedDataset.load(path).times
+        hidden = Counter((np.diff(times) - 1).tolist())
+        # keys in numeric order, so 2 comes before 10
+        assert printed == json.dumps({h: hidden[h] for h in sorted(hidden)}) + "\n"
 
     def test_output_round_trips_through_load(self, tmp_path):
         config = parse_config(small_config(tmp_path, observed_slots=25))
@@ -822,6 +838,31 @@ class TestCli:
         data["output_dir"] = str(blocker)
         path.write_text(json.dumps(data))
         assert main(["simulate", "--config", str(path)]) == 4
+        assert "i/o error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "content",
+        [b"[" * 100_000 + b"]" * 100_000, b'{"output_dir": "out/\xff"}'],
+        ids=["nested-past-recursion-limit", "not-utf-8"],
+    )
+    def test_unparsable_config_file_exits_2(self, tmp_path, capsys, content):
+        path = tmp_path / "config.json"
+        path.write_bytes(content)
+        assert main(["simulate", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
+
+    def test_stdout_failing_on_wrote_lines_exits_4(self, tmp_path, capsys, monkeypatch):
+        class ClosedOnWrote(io.StringIO):
+            def write(self, text: str) -> int:
+                if text.startswith("wrote"):
+                    raise BrokenPipeError(32, "Broken pipe")
+                return super().write(text)
+
+        monkeypatch.setattr(sys, "stdout", ClosedOnWrote())
+        assert main(["simulate", "--config", str(self.config_file(tmp_path))]) == 4
         assert "i/o error" in capsys.readouterr().err
 
     def test_missing_config_file(self, tmp_path, capsys):

@@ -14,7 +14,6 @@ from chan_em import (
     OCCUPIED,
     rank_channels,
     simulate_chain,
-    stationary_distribution,
     transition_matrix,
     utilization,
 )
@@ -103,6 +102,8 @@ class TestChannelParams:
         assert p.alpha == 1e-6
         assert p.beta == 1.0 - 1e-6
         assert ChannelParams(0.3, 0.4).clamped(1e-6) == ChannelParams(0.3, 0.4)
+        inside = ChannelParams(1e-6, 1.0 - 1e-6)
+        assert inside.clamped(1e-6) is inside
 
     def test_interior(self):
         assert ChannelParams(0.5, 0.5).is_interior()
@@ -125,7 +126,8 @@ class TestTransitionMatrix:
         rng = np.random.default_rng(6)
         for _ in range(50):
             params = ChannelParams(rng.uniform(0.01, 1.0), rng.uniform(0.01, 1.0))
-            v = stationary_distribution(params)
+            u = utilization(params)
+            v = np.array([u, 1.0 - u])
             np.testing.assert_allclose(v @ transition_matrix(params), v, atol=1e-12)
 
 
