@@ -164,9 +164,9 @@ def _run_single_channel(
     """
     truth = config.single_channel()
     _check_truths([truth])
-    dataset, _ = realize_dataset(
+    dataset = realize_dataset(
         truth, config.schedule, config.observed_slots, config.master_seed
-    )
+    )[0]
     _, reports = multi_start(dataset, _resolve_starts(config, dataset), config.em)
     winner = score_against_truth(dataset, reports, truth, config.em.clamp_epsilon)
     return winner, reports
@@ -238,9 +238,9 @@ def cmd_table1(config: ExperimentConfig, resolved: dict) -> list[Path]:
 def cmd_se_grid(config: ExperimentConfig, resolved: dict) -> list[Path]:
     """Likelihood-gap surface against the truth over an (alpha, beta) grid."""
     truth = config.single_channel()
-    dataset, _ = realize_dataset(
+    dataset = realize_dataset(
         truth, config.schedule, config.observed_slots, config.master_seed
-    )
+    )[0]
     eps = config.em.clamp_epsilon
     values = config.grid.values()
     reference = geometric_mean_likelihood(dataset, truth.clamped(eps))
@@ -276,20 +276,31 @@ def _estimate_channels(
             f"got {len(config.starts)} starts for {len(channels)} channels"
         )
     _check_truths(channels)
-    results = []
-    for index, truth in enumerate(channels):
-        dataset, _ = realize_dataset(
-            truth,
-            config.schedule,
-            config.observed_slots,
-            config.master_seed,
-            channel_index=index,
-        )
-        start = _resolve_starts(config, dataset)[0 if heuristic else index]
-        report = run_em(dataset, start, config.em)
-        score_against_truth(dataset, [report], truth, config.em.clamp_epsilon)
-        results.append((truth, report))
-    return results
+    return [
+        (truth, _estimate_channel(config, truth, index, 0 if heuristic else index))
+        for index, truth in enumerate(channels)
+    ]
+
+
+def _estimate_channel(
+    config: ExperimentConfig, truth: ChannelParams, index: int, start_index: int
+) -> EstimateReport:
+    """Realize, fit and score channel `index` from start `start_index`.
+
+    Its own frame, so the channel's dataset is freed when it returns and
+    the next channel is realized with no other channel's data alive.
+    """
+    dataset = realize_dataset(
+        truth,
+        config.schedule,
+        config.observed_slots,
+        config.master_seed,
+        channel_index=index,
+    )[0]
+    start = _resolve_starts(config, dataset)[start_index]
+    report = run_em(dataset, start, config.em)
+    score_against_truth(dataset, [report], truth, config.em.clamp_epsilon)
+    return report
 
 
 def cmd_multichannel(config: ExperimentConfig, resolved: dict) -> list[Path]:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import io
 import json
 import sys
+import weakref
 from collections import Counter
 from pathlib import Path
 
@@ -658,6 +659,31 @@ class TestCmdMultichannel:
         config = parse_config(resolved)
         with pytest.raises(ConfigError, match="one to one"):
             cmd_multichannel(config, resolved)
+
+    def test_holds_one_channel_dataset_at_a_time(self, tmp_path, monkeypatch):
+        # a weakref to every dataset realized so far must be dead by the time
+        # the next channel is realized, and by the time the command returns
+        alive = []
+        real = experiments.realize_dataset
+
+        def tracked(*args, **kwargs):
+            held = [ref for ref in alive if ref() is not None]
+            assert held == [], f"{len(held)} earlier dataset(s) alive"
+            result = real(*args, **kwargs)
+            alive.append(weakref.ref(result[0]))
+            return result
+
+        monkeypatch.setattr(experiments, "realize_dataset", tracked)
+        channels = [{"alpha": 0.8, "beta": 0.3}, {"alpha": 0.2, "beta": 0.9}] * 2
+        resolved = small_config(
+            tmp_path,
+            true_params=channels,
+            starts=[{"alpha": 0.6, "beta": 0.5}] * len(channels),
+            em={"max_iterations": 5, "record_trajectory": True},
+        )
+        cmd_multichannel(parse_config(resolved), resolved)
+        assert len(alive) == len(channels)
+        assert all(ref() is None for ref in alive)
 
 
 class TestCmdRank:

@@ -32,7 +32,7 @@ from chan_em import (
     transition_powers,
 )
 from chan_em import likelihood
-from chan_em.likelihood import gap_posterior, gap_posteriors
+from chan_em.likelihood import GapPosterior, gap_posterior, gap_posteriors
 from conftest import random_small_instance
 
 
@@ -389,6 +389,19 @@ class TestBatchedKernel:
         assert isinstance(failed, ZeroProbabilityError)
         assert str(failed) == "gap 0->1 over 2 steps has zero probability"
         assert [first, last] == [gap_posterior(dataset, p) for p in points[::2]]
+
+    def test_results_satisfy_sufficient_stats_checks(self):
+        # the kernel builds its results without SufficientStats' checks; they
+        # must hold anyway, up to the unit square's corners
+        corners = [ChannelParams(1e-9, 1e-9), ChannelParams(1 - 1e-9, 1 - 1e-9)]
+        rng = np.random.default_rng(53)
+        for _ in range(100):
+            dataset, params = random_small_instance(rng)
+            for result in gap_posteriors(dataset, [params, *corners]):
+                assert type(result) is GapPosterior
+                # the constructor runs the checks, and raises if one fails
+                checked = GapPosterior(*result.as_tuple(), result.log_likelihood)
+                assert checked == result and vars(checked) == vars(result)
 
     def test_e_step_batches_interior_points_only(self):
         dataset = ObservedDataset(times=[1, 3, 4], states=[0, 1, 1])

@@ -180,6 +180,87 @@ class TestObservedDataset:
             assert spanned == dataset.num_transitions
 
 
+def naive_histogram(dataset: ObservedDataset) -> tuple[np.ndarray, np.ndarray]:
+    """np.unique over (hidden, start, end) rows, reordered to (start, end, hidden)."""
+    rows = np.column_stack(
+        (np.diff(dataset.times) - 1, dataset.states[:-1], dataset.states[1:])
+    ).astype(np.int64)
+    uniq, counts = np.unique(rows, axis=0, return_counts=True)
+    return uniq[:, [1, 2, 0]], counts
+
+
+def random_dataset(rng: np.random.Generator, k: int, max_hidden: int):
+    """k observations with hidden lengths drawn uniformly from 0..max_hidden."""
+    hidden = rng.integers(0, max_hidden + 1, size=k - 1)
+    times = np.concatenate(([1], 1 + np.cumsum(hidden + 1)))
+    return ObservedDataset(times=times, states=rng.integers(0, 2, size=k))
+
+
+class TestGapHistogramPaths:
+    """Both counting paths against a naive count: values, row order, dtypes."""
+
+    @staticmethod
+    def assert_matches_naive(dataset: ObservedDataset) -> None:
+        signatures, counts = dataset.gap_histogram
+        want_signatures, want_counts = naive_histogram(dataset)
+        np.testing.assert_array_equal(signatures, want_signatures)
+        np.testing.assert_array_equal(counts, want_counts)
+        assert signatures.dtype == np.int64 and signatures.shape[1] == 3
+        assert counts.dtype == want_counts.dtype == np.intp
+
+    @staticmethod
+    def largest_key(dataset: ObservedDataset) -> int:
+        signatures, _ = naive_histogram(dataset)
+        return int((4 * signatures[:, 2] + 2 * signatures[:, 0] + signatures[:, 1]).max())
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_dense_keys(self, seed):
+        # keys below the number of gaps: counted by np.bincount
+        dataset = random_dataset(np.random.default_rng(seed), 5000, 40)
+        assert self.largest_key(dataset) < dataset.num_observations - 1
+        self.assert_matches_naive(dataset)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_one_gap_of_1e12_slots(self, seed):
+        # one key far past the number of gaps: counted by np.unique
+        dense = random_dataset(np.random.default_rng(seed), 5000, 40)
+        times = np.concatenate((dense.times, [dense.times[-1] + 10**12]))
+        dataset = ObservedDataset(times=times, states=np.append(dense.states, 1))
+        assert self.largest_key(dataset) >= dataset.num_observations - 1
+        self.assert_matches_naive(dataset)
+        last = [dense.states[-1], 1, 10**12 - 1]
+        assert dataset.gap_histogram[0][-1].tolist() == last
+
+    def test_small_datasets_either_side_of_the_switch(self):
+        rng = np.random.default_rng(13)
+        paths = set()
+        for _ in range(200):
+            k, max_hidden = int(rng.integers(2, 40)), int(rng.integers(0, 8))
+            dataset = random_dataset(rng, k, max_hidden)
+            paths.add(self.largest_key(dataset) < dataset.num_observations - 1)
+            self.assert_matches_naive(dataset)
+        assert paths == {True, False}
+
+    def test_keys_fit_int64_up_to_the_largest_slot(self):
+        dataset = ObservedDataset(times=[1, 2, 2**61], states=[1, 1, 0])
+        self.assert_matches_naive(dataset)
+        assert dataset.gap_histogram[0].tolist() == [[1, 1, 0], [1, 0, 2**61 - 3]]
+        with pytest.raises(ValueError, match="2\\*\\*61"):
+            ObservedDataset(times=[1, 2**61 + 1], states=[0, 1])
+
+    def test_peak_allocation_is_one_key_buffer(self):
+        # one int64 key per gap; a key, start, end and np.unique's sorted copy
+        # as separate int64 arrays would peak near five times times.nbytes
+        dataset = random_dataset(np.random.default_rng(14), 1_000_000, 9)
+        tracemalloc.start()
+        try:
+            dataset.gap_histogram
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * dataset.times.nbytes
+
+
 class TestCsvRoundTrip:
     # 65 537 rows cross the writer's 65 536-row block boundary; both counts
     # cross the 9/10 and 99/100 digit boundaries of the slot index
