@@ -50,8 +50,6 @@ from chan_em.likelihood import (
     incomplete_log_likelihood,
     n_step_matrix,
     se_db_between,
-    squared_error_db,
-    transition_powers,
 )
 from chan_em.markov import (
     IDLE,
@@ -114,9 +112,7 @@ __all__ = [
     "score_against_truth",
     "se_db_between",
     "simulate_chain",
-    "squared_error_db",
     "to_natural",
     "transition_matrix",
-    "transition_powers",
     "utilization",
 ]

@@ -291,6 +291,8 @@ def score_against_truth(
     """
     target = geometric_mean_likelihood(dataset, truth.clamped(clamp_epsilon))
     for report in reports:
+        # np.exp, not geometric_mean_likelihood's math.exp: they differ in the
+        # last bit on some inputs, and the preset outputs' bytes depend on it
         value = np.exp(report.log_likelihood / dataset.num_transitions)
         report.se_db = se_db_between(float(value), float(target))
         report.gamma_percent = relative_error(report.estimate, truth)

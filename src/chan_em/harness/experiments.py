@@ -144,8 +144,11 @@ def cmd_simulate(config: ExperimentConfig, resolved: dict) -> list[Path]:
         seq_path = out / "sequence.csv"
         write_slot_states(seq_path, None, sequence, meta)  # slots 1..len(sequence)
         written.append(seq_path)
-    hidden, counts = np.unique(np.diff(dataset.times) - 1, return_counts=True)
-    hist = dict(zip(hidden.tolist(), counts.tolist()))
+    # gap_histogram holds at most four (start, end) rows per hidden length
+    signatures, counts = dataset.gap_histogram
+    hist: dict[int, int] = {}
+    for hidden, count in zip(signatures[:, 2].tolist(), counts.tolist()):
+        hist[hidden] = hist.get(hidden, 0) + count
     print(
         f"simulate: {dataset.num_observations} observations over "
         f"{int(dataset.times[-1])} slots, hidden-length histogram "
@@ -243,6 +246,8 @@ def cmd_se_grid(config: ExperimentConfig, resolved: dict) -> list[Path]:
     )[0]
     eps = config.em.clamp_epsilon
     values = config.grid.values()
+    # geometric_mean_likelihood's math.exp, not score_against_truth's np.exp:
+    # they differ in the last bit on some inputs, and se_grid.csv depends on it
     reference = geometric_mean_likelihood(dataset, truth.clamped(eps))
     rows = []
     for alpha in values:

@@ -15,7 +15,7 @@ tests and are deliberately naive.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -65,26 +65,6 @@ class GapPosterior(SufficientStats):
     """Posterior-expected counts plus the log-likelihood that normalized them."""
 
     log_likelihood: float
-
-    @classmethod
-    def _from_kernel(
-        cls, counts: Sequence[float], log_likelihood: float
-    ) -> GapPosterior:
-        """The kernel's result at one point, without SufficientStats' checks.
-
-        The kernel's counts are ratios of sums of non-negative terms, and
-        each switch count sums a subset of the terms of its from-count, so
-        the checks hold by construction, up to rounding far inside their
-        slack (the tests assert them on kernel output). Skipping them takes
-        about 1 us off the 2.3 us of building one.
-        """
-        posterior = object.__new__(cls)
-        posterior.__dict__.update(zip(_COUNT_FIELDS, counts))
-        posterior.__dict__["log_likelihood"] = log_likelihood
-        return posterior
-
-
-_COUNT_FIELDS = tuple(field.name for field in fields(SufficientStats))
 
 
 # Van Loan's M as (row, column, index into P.ravel()) triples: P on the five
@@ -227,7 +207,7 @@ def _reduce(plan: GapPlan, blocks: np.ndarray) -> list[GapPosterior]:
     expected = plan.counts @ (blocks[..., 1:] / prob[..., None])
     log_likelihood = np.log(prob)[:, None] @ plan.counts
     return [
-        GapPosterior._from_kernel(counts, value)
+        GapPosterior(*counts, value)
         for counts, value in zip(expected.tolist(), log_likelihood.ravel().tolist())
     ]
 

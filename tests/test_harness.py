@@ -435,16 +435,25 @@ class TestCmdSimulate:
         assert obs_rows == seq_rows
 
     def test_hidden_length_histogram_matches_file(self, tmp_path, capsys):
-        schedule = {"kind": "random-uniform", "support": [1, 2, 10]}
-        config = parse_config(
-            small_config(tmp_path, observed_slots=500, schedule=schedule)
-        )
-        path = cmd_simulate(config, {})[0]
-        printed = capsys.readouterr().out.split("hidden-length histogram ", 1)[1]
-        times = ObservedDataset.load(path).times
-        hidden = Counter((np.diff(times) - 1).tolist())
-        # keys in numeric order, so 2 comes before 10
-        assert printed == json.dumps({h: hidden[h] for h in sorted(hidden)}) + "\n"
+        # dense keys (gap_histogram counts them with np.bincount), then keys far
+        # past the number of gaps (np.unique)
+        for name, support, observed_slots in (
+            ("dense", [1, 2, 10], 500),
+            ("sparse", [1, 100000], 20),
+        ):
+            schedule = {"kind": "random-uniform", "support": support}
+            config = parse_config(
+                small_config(
+                    tmp_path / name, observed_slots=observed_slots, schedule=schedule
+                )
+            )
+            path = cmd_simulate(config, {})[0]
+            printed = capsys.readouterr().out.split("hidden-length histogram ", 1)[1]
+            times = ObservedDataset.load(path).times
+            hidden = Counter((np.diff(times) - 1).tolist())
+            assert (4 * max(hidden) >= len(times) - 1) == (name == "sparse")
+            # keys in numeric order, so 2 comes before 10
+            assert printed == json.dumps({h: hidden[h] for h in sorted(hidden)}) + "\n"
 
     def test_output_round_trips_through_load(self, tmp_path):
         config = parse_config(small_config(tmp_path, observed_slots=25))

@@ -27,12 +27,16 @@ from chan_em import (
     n_step_matrix,
     run_em,
     se_db_between,
-    squared_error_db,
     transition_matrix,
-    transition_powers,
 )
 from chan_em import likelihood
-from chan_em.likelihood import GapPosterior, gap_posterior, gap_posteriors
+from chan_em.likelihood import (
+    GapPosterior,
+    gap_posterior,
+    gap_posteriors,
+    squared_error_db,
+    transition_powers,
+)
 from conftest import random_small_instance
 
 
@@ -391,8 +395,8 @@ class TestBatchedKernel:
         assert [first, last] == [gap_posterior(dataset, p) for p in points[::2]]
 
     def test_results_satisfy_sufficient_stats_checks(self):
-        # the kernel builds its results without SufficientStats' checks; they
-        # must hold anyway, up to the unit square's corners
+        # SufficientStats' checks must hold on every kernel result, up to the
+        # unit square's corners
         corners = [ChannelParams(1e-9, 1e-9), ChannelParams(1 - 1e-9, 1 - 1e-9)]
         rng = np.random.default_rng(53)
         for _ in range(100):
