@@ -63,7 +63,11 @@ class EmConfig:
 
     param_tolerance stops early once max(|d alpha|, |d beta|) drops below it
     (0 disables and runs all max_iterations). clamp_epsilon keeps every
-    iterate inside [eps, 1-eps].
+    iterate inside [eps, 1-eps]. It lies in (0, 0.01] and must leave
+    1 - eps below 1.0 in double precision, which takes eps > 2**-54 (about
+    5.6e-17; 2**-53 is accepted). Below that, 1 - eps rounds to 1.0 and a
+    clamped point could sit on the boundary; for every accepted eps a
+    clamped point is interior.
     """
 
     max_iterations: int = 100
@@ -76,8 +80,12 @@ class EmConfig:
             raise ValueError("max_iterations must be >= 1")
         if self.param_tolerance < 0:
             raise ValueError("param_tolerance must be >= 0")
-        if not 0.0 < self.clamp_epsilon <= 0.01:
-            raise ValueError("clamp_epsilon must lie in (0, 0.01]")
+        # 1 - eps < 1 also rules out eps <= 0 and NaN
+        if not (1.0 - self.clamp_epsilon < 1.0 and self.clamp_epsilon <= 0.01):
+            raise ValueError(
+                "clamp_epsilon must lie in (0, 0.01] with 1 - clamp_epsilon < 1 "
+                "in double precision (greater than 2**-54)"
+            )
 
 
 class TrajectoryStep(NamedTuple):
@@ -157,10 +165,13 @@ def m_step(expected: SufficientStats, clamp_epsilon: float = 1e-9) -> ChannelPar
     return mle_complete(expected).clamped(clamp_epsilon)
 
 
-def relative_error(estimate: ChannelParams, truth: ChannelParams) -> float:
+def relative_error(
+    estimate: ChannelParams | TrajectoryStep, truth: ChannelParams
+) -> float:
     """Mean relative parameter error in percent.
 
     (|alpha_hat - alpha| / alpha + |beta_hat - beta| / beta) / 2 * 100.
+    The estimate may be a recorded step; only its alpha and beta are read.
     Requires both truth components positive.
     """
     if truth.alpha <= 0 or truth.beta <= 0:

@@ -74,6 +74,17 @@ def realize_dataset(
     return dataset, sequence
 
 
+def _channel_dataset(config: ExperimentConfig, index: int = 0) -> ObservedDataset:
+    """The observed dataset of channel `index`, realized from its truth."""
+    return realize_dataset(
+        config.true_params[index],
+        config.schedule,
+        config.observed_slots,
+        config.master_seed,
+        channel_index=index,
+    )[0]
+
+
 def _check_truths(truths: Iterable[ChannelParams]) -> None:
     """Raise before any fitting if a truth cannot score the runs against it.
 
@@ -167,9 +178,7 @@ def _run_single_channel(
     """
     truth = config.single_channel()
     _check_truths([truth])
-    dataset = realize_dataset(
-        truth, config.schedule, config.observed_slots, config.master_seed
-    )[0]
+    dataset = _channel_dataset(config)
     _, reports = multi_start(dataset, _resolve_starts(config, dataset), config.em)
     winner = score_against_truth(dataset, reports, truth, config.em.clamp_epsilon)
     return winner, reports
@@ -189,10 +198,7 @@ def cmd_trajectories(config: ExperimentConfig, resolved: dict) -> list[Path]:
             path,
             {**meta, "start_alpha": report.start.alpha, "start_beta": report.start.beta},
             ["p", "alpha", "beta", "loglik"],
-            (
-                (s.iteration, s.alpha, s.beta, s.log_likelihood)
-                for s in report.trajectory.steps
-            ),
+            report.trajectory.steps,
         )
         written.append(path)
     summary_path = out / "summary.json"
@@ -241,9 +247,7 @@ def cmd_table1(config: ExperimentConfig, resolved: dict) -> list[Path]:
 def cmd_se_grid(config: ExperimentConfig, resolved: dict) -> list[Path]:
     """Likelihood-gap surface against the truth over an (alpha, beta) grid."""
     truth = config.single_channel()
-    dataset = realize_dataset(
-        truth, config.schedule, config.observed_slots, config.master_seed
-    )[0]
+    dataset = _channel_dataset(config)
     eps = config.em.clamp_epsilon
     values = config.grid.values()
     # geometric_mean_likelihood's math.exp, not score_against_truth's np.exp:
@@ -263,11 +267,9 @@ def cmd_se_grid(config: ExperimentConfig, resolved: dict) -> list[Path]:
     return [path]
 
 
-def _estimate_channels(
-    config: ExperimentConfig,
-) -> list[tuple[ChannelParams, EstimateReport]]:
-    """Simulate, observe, and estimate every configured channel."""
-    channels = list(config.true_params)
+def _estimate_channels(config: ExperimentConfig) -> list[EstimateReport]:
+    """Simulate, observe, and estimate every configured channel, in order."""
+    channels = config.true_params
     heuristic = isinstance(config.starts, int)
     if heuristic:
         if config.starts != 1:
@@ -282,43 +284,40 @@ def _estimate_channels(
         )
     _check_truths(channels)
     return [
-        (truth, _estimate_channel(config, truth, index, 0 if heuristic else index))
-        for index, truth in enumerate(channels)
+        _estimate_channel(config, index, 0 if heuristic else index)
+        for index in range(len(channels))
     ]
 
 
 def _estimate_channel(
-    config: ExperimentConfig, truth: ChannelParams, index: int, start_index: int
+    config: ExperimentConfig, index: int, start_index: int
 ) -> EstimateReport:
     """Realize, fit and score channel `index` from start `start_index`.
 
     Its own frame, so the channel's dataset is freed when it returns and
     the next channel is realized with no other channel's data alive.
     """
-    dataset = realize_dataset(
-        truth,
-        config.schedule,
-        config.observed_slots,
-        config.master_seed,
-        channel_index=index,
-    )[0]
+    dataset = _channel_dataset(config, index)
     start = _resolve_starts(config, dataset)[start_index]
     report = run_em(dataset, start, config.em)
-    score_against_truth(dataset, [report], truth, config.em.clamp_epsilon)
+    score_against_truth(
+        dataset, [report], config.true_params[index], config.em.clamp_epsilon
+    )
     return report
 
 
 def cmd_multichannel(config: ExperimentConfig, resolved: dict) -> list[Path]:
     """Estimate every channel, tracing relative parameter error per iteration."""
     config = _ensure_recording(config)
-    results = _estimate_channels(config)
+    reports = _estimate_channels(config)
+    truths = config.true_params
     out = _out_dir(config)
     meta = _meta(config, resolved, "multichannel")
     written = []
-    for index, (truth, report) in enumerate(results):
+    for index, (truth, report) in enumerate(zip(truths, reports)):
         assert report.trajectory is not None
         rows = [
-            (step.iteration, relative_error(ChannelParams(step.alpha, step.beta), truth))
+            (step.iteration, relative_error(step, truth))
             for step in report.trajectory.steps
         ]
         path = out / f"gamma_channel_{index}.csv"
@@ -341,26 +340,25 @@ def cmd_multichannel(config: ExperimentConfig, resolved: dict) -> list[Path]:
                     "true_beta": truth.beta,
                     **report.to_json_dict(),
                 }
-                for index, (truth, report) in enumerate(results)
+                for index, (truth, report) in enumerate(zip(truths, reports))
             ],
         },
     )
     written.append(summary_path)
     finals = ", ".join(
-        f"ch{i}: gamma={report.gamma_percent:.3f}%"
-        for i, (_, report) in enumerate(results)
+        f"ch{i}: gamma={report.gamma_percent:.3f}%" for i, report in enumerate(reports)
     )
-    print(f"multichannel: {len(results)} channels ({finals})")
+    print(f"multichannel: {len(reports)} channels ({finals})")
     return written
 
 
 def cmd_rank(config: ExperimentConfig, resolved: dict) -> list[Path]:
     """Rank channels by estimated utilization; flag statistically close pairs."""
-    results = _estimate_channels(config)
-    estimates = [report.estimate for _, report in results]
+    reports = _estimate_channels(config)
+    estimates = [report.estimate for report in reports]
     u_hats = [utilization(e) for e in estimates]
     order = rank_channels(estimates)
-    gammas = [report.gamma_percent for _, report in results]
+    gammas = [report.gamma_percent for report in reports]
     # close-call rule: flag adjacent channels whose estimated utilization
     # gap is inside the error band implied by the parameter errors
     deltas = [
@@ -372,7 +370,7 @@ def cmd_rank(config: ExperimentConfig, resolved: dict) -> list[Path]:
         i, j = order[pos], order[pos + 1]
         if abs(u_hats[i] - u_hats[j]) < max(deltas[i], deltas[j]):
             close_pairs.append([i, j])
-    truths = [truth for truth, _ in results]
+    truths = config.true_params
     payload: dict[str, Any] = {
         "meta": _meta(config, resolved, "rank"),
         "ranking": order,

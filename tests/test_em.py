@@ -490,3 +490,8 @@ class TestEmConfig:
             EmConfig(clamp_epsilon=0.0)
         with pytest.raises(ValueError):
             EmConfig(clamp_epsilon=0.05)
+        # 1 - 1e-17 rounds to 1.0, so clamping could return a boundary point
+        with pytest.raises(ValueError):
+            EmConfig(clamp_epsilon=1e-17)
+        EmConfig(clamp_epsilon=2**-53)  # the smallest power of two accepted
+        assert ChannelParams(0.0, 1.0).clamped(2**-53).is_interior()

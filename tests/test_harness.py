@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from chan_em import ChannelParams, ObservedDataset
+from chan_em import ChannelParams, ObservedDataset, multi_start, relative_error, run_em
 from chan_em.errors import ConfigError
 from chan_em.harness import (
     ExperimentConfig,
@@ -117,6 +117,8 @@ INVALID_MUTATIONS = [
         "starts": {"heuristic_count": 100},
         "em": {"max_iterations": 100_000},
     },
+    # 1 - 1e-17 rounds to 1.0: clamped starts and grid points would sit on the boundary
+    {"em": {"clamp_epsilon": 1e-17}},
 ]
 
 # each entry, merged into small_config, stays within the work budget: its
@@ -489,6 +491,16 @@ class TestCmdTrajectories:
         assert [int(r[0]) for r in rows] == list(range(31))
         assert float(rows[0][1]) == 0.6
         assert float(rows[0][2]) == 0.5
+        # every row is its recorded step, field for field, as repr
+        config = parse_config(small_config(out))
+        dataset = realize_dataset(
+            config.single_channel(), config.schedule, config.observed_slots,
+            config.master_seed,
+        )[0]
+        _, reports = multi_start(dataset, list(config.starts), config.em)
+        for i, report in enumerate(reports):
+            expected = [[repr(field) for field in step] for step in report.trajectory.steps]
+            assert data_rows(out / f"trajectory_{i:02d}.csv") == expected
 
     def test_lines_end_in_newline_only(self, trajectory_outputs):
         _, written = trajectory_outputs
@@ -628,12 +640,12 @@ def multichannel_outputs(tmp_path_factory):
         em={"max_iterations": 50, "record_trajectory": True},
     )
     config = parse_config(resolved)
-    return out, cmd_multichannel(config, resolved)
+    return out, cmd_multichannel(config, resolved), config
 
 
 class TestCmdMultichannel:
     def test_files(self, multichannel_outputs):
-        out, written = multichannel_outputs
+        out, written, _ = multichannel_outputs
         assert written == [
             out / "gamma_channel_0.csv",
             out / "gamma_channel_1.csv",
@@ -641,7 +653,7 @@ class TestCmdMultichannel:
         ]
 
     def test_gamma_trace_shape_and_decrease(self, multichannel_outputs):
-        out, _ = multichannel_outputs
+        out, _, config = multichannel_outputs
         for index in (0, 1):
             path = out / f"gamma_channel_{index}.csv"
             assert header_of(path) == "p,gamma_percent"
@@ -650,9 +662,23 @@ class TestCmdMultichannel:
             first, last = float(rows[0][1]), float(rows[-1][1])
             assert last < first
             assert last < 10.0
+            # every row is the error of its recorded step, bit for bit
+            truth = config.true_params[index]
+            dataset = realize_dataset(
+                truth, config.schedule, config.observed_slots, config.master_seed,
+                channel_index=index,
+            )[0]
+            report = run_em(dataset, config.starts[index], config.em)
+            assert rows == [
+                [
+                    repr(step.iteration),
+                    repr(relative_error(ChannelParams(step.alpha, step.beta), truth)),
+                ]
+                for step in report.trajectory.steps
+            ]
 
     def test_summary_lists_channels(self, multichannel_outputs):
-        out, _ = multichannel_outputs
+        out, _, _ = multichannel_outputs
         payload = json.loads((out / "multichannel_summary.json").read_text())
         assert [c["index"] for c in payload["channels"]] == [0, 1]
         for channel in payload["channels"]:
