@@ -15,7 +15,7 @@ import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, BinaryIO
 
 import numpy as np
 
@@ -25,7 +25,8 @@ if TYPE_CHECKING:
     from chan_em.likelihood import GapPlan
 
 _SCHEDULE_KINDS = ("fixed", "random-uniform")
-_WRITE_BLOCK = 1 << 16  # rows per formatted write of a slot-state CSV
+_WRITE_BLOCK = 1 << 16  # rows per formatted write of explicit slot indices
+_SPAN = 10**5  # implicit slot indices from 10**4 on: rows per aligned span
 _POWERS_OF_TEN = 10 ** np.arange(1, 19, dtype=np.int64)  # digit-count thresholds
 # largest slot index: every gap's key 4 * hidden + 2 * start + end then fits int64
 _MAX_SLOT = 2**61
@@ -237,13 +238,12 @@ def write_slot_states(
 ) -> None:
     r"""Write `slot_index,state` rows: `# key: value` lines, a header, the rows.
 
-    `times=None` means slots 1..len(states); each block then builds its own
-    indices, so no index array as long as the sequence is ever held. Rows go
-    out in blocks of _WRITE_BLOCK. A block whose smallest and largest index
-    have the same digit count is one run; otherwise it splits into runs of
-    one digit count d. Each run is filled into a (rows, d + 3) uint8 array
-    column by column (the digits, `,`, the state, `\n`) and written as
-    bytes, so no Python string is built per row. Slot indices must be
+    No Python string is built per row: rows are filled into a (rows, d + 3)
+    uint8 array, for indices of d digits (the digits, `,`, the state, `\n`),
+    and written as bytes. Explicit `times` go out in blocks of _WRITE_BLOCK
+    rows (_write_rows). `times=None` means slots 1..len(states), written in
+    aligned spans that need no index array (_write_implicit_rows). Both
+    arrays must have an integer or bool dtype, slot indices must be
     non-negative and states single digits.
     """
     states = np.asarray(states)
@@ -251,6 +251,8 @@ def write_slot_states(
         times = np.asarray(times)
     if states.ndim != 1 or (times is not None and times.shape != states.shape):
         raise ValueError("times and states must be 1-d arrays of equal length")
+    if any(a.dtype.kind not in "biu" for a in (states, times) if a is not None):
+        raise ValueError("times and states must have an integer or bool dtype")
     if states.size and (states.min() < 0 or states.max() > 9):
         raise ValueError("states must be single digits")
     if times is not None and times.size and times.min() < 0:
@@ -258,11 +260,57 @@ def write_slot_states(
     head = "".join(f"# {key}: {value}\n" for key, value in (meta or {}).items())
     with Path(path).open("wb") as fh:
         fh.write((head + "slot_index,state\n").encode())
-        for start in range(0, len(states), _WRITE_BLOCK):
-            stop = min(start + _WRITE_BLOCK, len(states))
-            block = np.arange(start + 1, stop + 1) if times is None else times[start:stop]
-            for lo, hi, width in _width_runs(block):
-                fh.write(_fill_rows(block[lo:hi], states[start + lo : start + hi], width))
+        if times is None:
+            _write_implicit_rows(fh, states)
+        else:
+            _write_rows(fh, times, states)
+
+
+def _write_rows(fh: BinaryIO, times: np.ndarray, states: np.ndarray) -> None:
+    """Write rows in blocks of _WRITE_BLOCK, one _fill_rows call per width run.
+
+    A block whose smallest and largest index have the same digit count is
+    one run; otherwise it splits into runs of one digit count.
+    """
+    for start in range(0, len(states), _WRITE_BLOCK):
+        block = times[start : start + _WRITE_BLOCK]
+        for lo, hi, width in _width_runs(block):
+            fh.write(_fill_rows(block[lo:hi], states[start + lo : start + hi], width))
+
+
+def _write_implicit_rows(fh: BinaryIO, states: np.ndarray) -> None:
+    """Write the rows of slots 1..len(states).
+
+    Slots 1..9 999 go through _write_rows. Slots from 10**4 on go out in
+    spans aligned at multiples of _SPAN (the first span starts at 10**4).
+    Every slot in a span has the same digit count d, and its low five digits
+    are its row in the span. So one (_SPAN, d + 3) buffer per digit count
+    gets those digits, `,` and `\n` once; each span then rewrites only its
+    d - 5 prefix columns, with one scalar fill each (a 2-d broadcast fill is
+    about ten times slower), and its state column, and is written in one
+    call of about 1 MB.
+    """
+    count = len(states)
+    head = min(count, _SPAN // 10 - 1)
+    _write_rows(fh, np.arange(1, head + 1), states[:head])
+    rows = np.empty((0, 0), dtype=np.uint8)
+    for base in range(0, count + 1, _SPAN):
+        first, stop = max(base, _SPAN // 10), min(base + _SPAN, count + 1)
+        if first >= stop:  # no slot of five digits or more
+            break
+        digits = str(first)
+        width = len(digits)
+        if rows.shape[1] != width + 3:
+            rows = np.empty((_SPAN, width + 3), dtype=np.uint8)
+            _fill_digits(rows[:, width - 5 : width], np.arange(_SPAN, dtype=np.uint32))
+            rows[:, width] = ord(",")
+            rows[:, width + 2] = ord("\n")
+        for col, digit in enumerate(digits[:-5].encode()):
+            rows[:, col] = digit
+        span = rows[first - base : stop - base]
+        state = span[:, width + 1]
+        np.add(states[first - 1 : stop - 1], ord("0"), out=state, casting="unsafe")
+        fh.write(span)
 
 
 def _width_runs(block: np.ndarray) -> list[tuple[int, int, int]]:

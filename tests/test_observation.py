@@ -409,8 +409,22 @@ class TestWriteSlotStates:
 
     @pytest.mark.parametrize(
         "times, states",
-        [([1, -2], [0, 1]), ([1, 2], [0, 10]), ([1, 2], [-1, 0]), ([1, 2], [0])],
-        ids=["negative-slot", "two-digit-state", "negative-state", "lengths"],
+        [
+            ([1, -2], [0, 1]),
+            ([1, 2], [0, 10]),
+            ([1, 2], [-1, 0]),
+            ([1, 2], [0]),
+            ([1.0, 2.7, 3.2], [0, 1, 0]),
+            ([1, 2, 3], [0.5, 1.0, 0.9]),
+        ],
+        ids=[
+            "negative-slot",
+            "two-digit-state",
+            "negative-state",
+            "lengths",
+            "float-times",
+            "float-states",
+        ],
     )
     def test_rejects_rows_it_cannot_render(self, tmp_path, times, states):
         with pytest.raises(ValueError):
@@ -428,8 +442,14 @@ class TestWriteSlotStates:
             tracemalloc.stop()
         assert peak < 8 * 2**20
 
-    # 70 000 implicit indices run from 1 to 5 digits and cross a block boundary
-    @pytest.mark.parametrize("n", [0, 1, 70_000])
+    # 70 000 implicit indices run from 1 to 5 digits and cross a block boundary;
+    # from 10**4 on, rows go out in spans aligned at multiples of 10**5: the
+    # first starts at 10**4, 99 999 ends one exactly, 100 000 starts six digits,
+    # and 200 001 rewrites the prefix digit of a reused six-digit span buffer
+    @pytest.mark.parametrize(
+        "n",
+        [0, 1, 9_999, 10_000, 10_001, 70_000, 99_999, 100_000, 100_001, 200_001],
+    )
     def test_implicit_times_equal_explicit(self, tmp_path, n):
         states = np.random.default_rng(6).integers(0, 2, size=n).astype(np.int8)
         meta = {"tool": "chan-em"}
