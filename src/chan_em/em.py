@@ -37,7 +37,6 @@ import numpy as np
 
 from chan_em.errors import (
     AllStartsFailedError,
-    BoundaryParameterError,
     ChanEmError,
     DegenerateObservationsError,
     DegenerateParametersError,
@@ -137,22 +136,21 @@ class EstimateReport:
 
 def e_step(
     dataset: ObservedDataset, params: ChannelParams | Sequence[ChannelParams]
-) -> GapPosterior | list[GapPosterior | ChanEmError]:
+) -> GapPosterior | list[GapPosterior]:
     """Posterior-expected transition counts under interior parameters.
 
     At one point, gap_posterior's result: the counts for all gap signatures
     at once, at a cost of O(signatures x log max gap), and the log_likelihood
     at params. At a sequence of points, one gap_posteriors call for all of
-    them: per point, its result or the ZeroProbabilityError it raised. The
-    four expectations sum to the spanned transition count up to rounding
-    (each gap contributes g+1 transitions of posterior mass one).
+    them, one result per point. Either form raises the kernel's
+    BoundaryParameterError at a point that is not interior (clamp it first)
+    and its ZeroProbabilityError if a gap probability underflows. The four
+    expectations sum to the spanned transition count up to rounding (each
+    gap contributes g+1 transitions of posterior mass one).
     """
-    single = isinstance(params, ChannelParams)
-    if not all(p.is_interior() for p in ((params,) if single else params)):
-        raise BoundaryParameterError(
-            "e_step requires interior parameters, clamp the start first"
-        )
-    return gap_posterior(dataset, params) if single else gap_posteriors(dataset, params)
+    if isinstance(params, ChannelParams):
+        return gap_posterior(dataset, params)
+    return gap_posteriors(dataset, params)
 
 
 def m_step(expected: SufficientStats, clamp_epsilon: float = 1e-9) -> ChannelParams:
@@ -189,9 +187,11 @@ def _lockstep(
 
     Each iterate makes one e_step call for the starts still running. A start
     stops after the E-step at which its last update moved no parameter by
-    param_tolerance or more, or after max_iterations updates; one whose E- or
+    param_tolerance or more, or after max_iterations updates; one whose
     M-step fails stops with that error, prefixed by the iteration. The others
-    carry on, so every start's outcome is what it would be alone.
+    carry on, so every start's outcome is what it would be alone. The E-step
+    fails only as a whole, on an underflow that clamped iterates do not
+    reach, and its error then fails this call.
     """
     eps = config.clamp_epsilon
     current = [start.clamped(eps) for start in starts]
@@ -205,27 +205,25 @@ def _lockstep(
         posteriors = e_step(dataset, [current[i] for i in live])
         running = []
         for i, posterior in zip(live, posteriors):
+            if trajectories[i] is not None:
+                trajectories[i].steps.append(
+                    TrajectoryStep(
+                        iteration, *current[i].as_tuple(), posterior.log_likelihood
+                    )
+                )
+            converged = delta[i] < config.param_tolerance
+            if converged or iteration == config.max_iterations:
+                if converged and trajectories[i] is not None:
+                    trajectories[i].converged_at = iteration
+                outcomes[i] = EstimateReport(
+                    estimate=current[i],
+                    start=starts[i],
+                    iterations_run=iteration,
+                    log_likelihood=posterior.log_likelihood,
+                    trajectory=trajectories[i],
+                )
+                continue
             try:
-                if isinstance(posterior, ChanEmError):
-                    raise posterior
-                if trajectories[i] is not None:
-                    trajectories[i].steps.append(
-                        TrajectoryStep(
-                            iteration, *current[i].as_tuple(), posterior.log_likelihood
-                        )
-                    )
-                converged = delta[i] < config.param_tolerance
-                if converged or iteration == config.max_iterations:
-                    if converged and trajectories[i] is not None:
-                        trajectories[i].converged_at = iteration
-                    outcomes[i] = EstimateReport(
-                        estimate=current[i],
-                        start=starts[i],
-                        iterations_run=iteration,
-                        log_likelihood=posterior.log_likelihood,
-                        trajectory=trajectories[i],
-                    )
-                    continue
                 updated = m_step(posterior, eps)
             except ChanEmError as exc:
                 outcomes[i] = type(exc)(f"iteration {iteration + 1}: {exc}")
@@ -266,9 +264,10 @@ def multi_start(
     Every start's run equals run_em from that start alone, at one kernel call
     per iterate for all starts still running. The winner has the highest
     final log-likelihood, ties going to the lower start index. Returns
-    (winner, reports in start order); failed starts are dropped from the
-    list, and AllStartsFailedError aggregates the causes when no start
-    survives.
+    (winner, reports in start order). A start whose M-step fails is dropped
+    from the list, and AllStartsFailedError aggregates the causes when no
+    start survives; an E-step error, which only underflow raises, fails the
+    whole call.
     """
     if not starts:
         raise ValueError("need at least one start")

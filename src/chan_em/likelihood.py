@@ -6,10 +6,11 @@ slots contributes [P^(g+1)]_{a,b}, the (g+1)-step transition probability.
 gap_posteriors computes it together with the E-step's expected counts, at
 many parameter points in one call: the lockstep E-M evaluates every live
 start of one dataset at once, so an iterate costs one call whatever the
-number of starts. gap_posterior is its one-point form. The brute-force
-functions recompute the same quantities by summing over
-every completion of the hidden slots; they exist as independent oracles for
-tests and are deliberately naive.
+number of starts. gap_posterior is its one-point form. gap_posteriors alone
+checks kernel input, and a call fails as a whole, never one point. The
+brute-force functions recompute the same quantities by summing over every
+completion of the hidden slots; they exist as independent oracles for tests
+and are deliberately naive.
 """
 
 from __future__ import annotations
@@ -88,17 +89,14 @@ _M_INDEX[10 + np.arange(10), np.arange(10)] = 5
 class GapPlan(NamedTuple):
     """gap_posteriors' arrays that depend only on the dataset.
 
-    One row per gap signature: start and end state, steps = hidden + 1, the
-    multiplicity (as a float), the row of M^(steps & 1) that starts the
+    One row per gap signature (start, end, hidden), with steps = hidden + 1:
+    the multiplicity (as a float), the row of M^(steps & 1) that starts the
     power (row start of M for odd steps, the one-hot row start for even),
     as indices into a point's entries (P.ravel(), 0.0, 1.0), one (S, 1)
     mask per bit of steps (lowest first), and the flat index into the
     (S, 10) result rows of entry (start, end) of each of the five blocks.
     """
 
-    start: np.ndarray
-    end: np.ndarray
-    steps: np.ndarray
     counts: np.ndarray
     first: np.ndarray
     bits: tuple[np.ndarray, ...]
@@ -116,12 +114,12 @@ def build_gap_plan(dataset: ObservedDataset) -> GapPlan:
     )
     gather = (np.arange(len(steps)) * 10)[:, None] + 2 * np.arange(5) + end[:, None]
     first = _M_INDEX[np.where(steps & 1, start, 10 + start)]
-    return GapPlan(start, end, steps, counts.astype(float), first, bits, gather)
+    return GapPlan(counts.astype(float), first, bits, gather)
 
 
 def gap_posteriors(
     dataset: ObservedDataset, points: Sequence[ChannelParams]
-) -> list[GapPosterior | ZeroProbabilityError]:
+) -> list[GapPosterior]:
     """Posterior-expected transition counts and log-likelihood at each point.
 
     The kernel behind gap_posterior, incomplete_log_likelihood and the
@@ -146,12 +144,20 @@ def gap_posteriors(
     Only non-negative terms are summed, so each value's relative rounding
     error stays within a small multiple of (g+1) float epsilons anywhere in
     the unit square, and counts that are exactly zero come out zero.
-    Returns one entry per point, in order: its GapPosterior, or the
-    ZeroProbabilityError naming an observed gap of probability zero there.
+
+    Raises BoundaryParameterError unless every point is interior (callers
+    clamp). There a gap probability reaches zero only by underflow at
+    subnormal parameters, which no clamped point reaches; the call then
+    raises one ZeroProbabilityError naming the first such point. Returns
+    one GapPosterior per point, in order.
     """
+    if not all(p.is_interior() for p in points):
+        raise BoundaryParameterError(
+            "the gap kernel requires 0 < alpha, beta < 1, clamp the point first"
+        )
     plan = dataset.gap_plan
-    per_call = max(1, MAX_BATCH_ROWS // len(plan.steps))
-    results: list[GapPosterior | ZeroProbabilityError] = []
+    per_call = max(1, MAX_BATCH_ROWS // len(plan.counts))
+    results: list[GapPosterior] = []
     for lo in range(0, len(points), per_call):
         results += _posteriors(plan, points[lo : lo + per_call])
     return results
@@ -159,11 +165,8 @@ def gap_posteriors(
 
 def _posteriors(
     plan: GapPlan, points: Sequence[ChannelParams]
-) -> list[GapPosterior | ZeroProbabilityError]:
-    """One batch of gap_posteriors: the bit loop, then one _reduce call.
-
-    Each point with a zero-probability signature gets its ZeroProbabilityError.
-    """
+) -> list[GapPosterior]:
+    """One batch of gap_posteriors: the bit loop, then one _reduce call."""
     # entries of transition_matrix(p).ravel(), then 0.0 and 1.0
     entries = np.array(
         [(1.0 - p.alpha, p.alpha, p.beta, 1.0 - p.beta, 0.0, 1.0) for p in points]
@@ -179,22 +182,13 @@ def _posteriors(
         np.copyto(rows, product, where=mask)
     # blocks[p, i, k] = entry (start_i, end_i) of block k of M^(g_i + 1) at point p
     blocks = rows.reshape(len(points), -1).take(plan.gather, axis=1)
-    positive = blocks[..., 0] > 0.0
-    fine = positive.all(axis=1)
-    reduced = iter(_reduce(plan, blocks.compress(fine, axis=0)))
-    return [
-        next(reduced) if ok else _zero_gap(plan, positive[i])
-        for i, ok in enumerate(fine.tolist())
-    ]
-
-
-def _zero_gap(plan: GapPlan, positive: np.ndarray) -> ZeroProbabilityError:
-    """The error naming a point's first signature of probability zero."""
-    i = int(np.argmin(positive))
-    return ZeroProbabilityError(
-        f"gap {int(plan.start[i])}->{int(plan.end[i])} over "
-        f"{int(plan.steps[i])} steps has zero probability"
-    )
+    positive = blocks[..., 0].all(axis=1)
+    if not positive.all():
+        point = points[int(positive.argmin())]
+        raise ZeroProbabilityError(
+            f"an observed gap has probability zero at ({point.alpha}, {point.beta})"
+        )
+    return _reduce(plan, blocks)
 
 
 def _reduce(plan: GapPlan, blocks: np.ndarray) -> list[GapPosterior]:
@@ -213,10 +207,8 @@ def _reduce(plan: GapPlan, blocks: np.ndarray) -> list[GapPosterior]:
 
 
 def gap_posterior(dataset: ObservedDataset, params: ChannelParams) -> GapPosterior:
-    """gap_posteriors at one point; raises its ZeroProbabilityError."""
+    """gap_posteriors at one point."""
     (result,) = gap_posteriors(dataset, (params,))
-    if isinstance(result, ZeroProbabilityError):
-        raise result
     return result
 
 
@@ -224,15 +216,9 @@ def incomplete_log_likelihood(dataset: ObservedDataset, params: ChannelParams) -
     """Log-probability of the observed states given the first one.
 
     Sum over gaps of log [P^(g+1)]_{a,b}, grouped by gap signature and
-    computed by gap_posterior. Requires interior parameters; raises
-    ZeroProbabilityError if any observed gap has probability exactly zero
-    (cannot happen at interior parameters, but the guard keeps the contract
-    explicit).
+    computed by gap_posterior, whose contract it shares: interior parameters
+    only, and ZeroProbabilityError if a gap probability underflows.
     """
-    if not params.is_interior():
-        raise BoundaryParameterError(
-            "incomplete_log_likelihood requires 0 < alpha, beta < 1"
-        )
     return gap_posterior(dataset, params).log_likelihood
 
 

@@ -243,8 +243,8 @@ def write_slot_states(
     and written as bytes. Explicit `times` go out in blocks of _WRITE_BLOCK
     rows (_write_rows). `times=None` means slots 1..len(states), written in
     aligned spans that need no index array (_write_implicit_rows). Both
-    arrays must have an integer or bool dtype, slot indices must be
-    non-negative and states single digits.
+    arrays must have an integer or bool dtype, slot indices must lie in
+    [0, 2**61] (ObservedDataset's cap) and states be single digits.
     """
     states = np.asarray(states)
     if times is not None:
@@ -255,8 +255,13 @@ def write_slot_states(
         raise ValueError("times and states must have an integer or bool dtype")
     if states.size and (states.min() < 0 or states.max() > 9):
         raise ValueError("states must be single digits")
-    if times is not None and times.size and times.min() < 0:
-        raise ValueError("slot indices must be >= 0")
+    if times is not None and times.size:
+        if times.min() < 0:
+            raise ValueError("slot indices must be >= 0")
+        # int(): numpy 1.x compares uint64 with a Python int in float64
+        largest = int(times.max())
+        if largest > _MAX_SLOT:
+            raise ValueError(f"slot indices must not exceed 2**61, got {largest}")
     head = "".join(f"# {key}: {value}\n" for key, value in (meta or {}).items())
     with Path(path).open("wb") as fh:
         fh.write((head + "slot_index,state\n").encode())

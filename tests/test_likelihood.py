@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -121,12 +122,14 @@ class TestIncompleteLogLikelihood:
         dataset = ObservedDataset(times=[1, 3], states=[0, 1])
         with pytest.raises(BoundaryParameterError):
             incomplete_log_likelihood(dataset, ChannelParams(0.0, 0.3))
-
-    def test_zero_probability_gap_named(self):
-        # alpha = beta = 1 alternates deterministically: 0 -> 1 in 2 steps is impossible
+        # alpha = beta = 1 alternates deterministically: 0 -> 1 in 2 steps is
+        # impossible, but the kernel rejects the point before it gets there
         dataset = ObservedDataset(times=[1, 2, 4], states=[1, 0, 1])
-        with pytest.raises(ZeroProbabilityError, match="gap 0->1 over 2 steps"):
-            gap_posterior(dataset, ChannelParams(1.0, 1.0))
+        corner = ChannelParams(1.0, 1.0)
+        with pytest.raises(BoundaryParameterError):
+            gap_posterior(dataset, corner)
+        with pytest.raises(BoundaryParameterError):
+            gap_posteriors(dataset, [corner])
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(15)
@@ -269,7 +272,7 @@ class TestGapPlan:
         dataset = ObservedDataset(
             times=np.arange(1, 13), states=rng.integers(0, 2, size=12)
         )
-        assert (dataset.gap_plan.steps == 1).all()
+        assert (dataset.gap_histogram[0][:, 2] == 0).all()
         assert len(dataset.gap_plan.bits) == 1
         for params in self.PARAMS:
             assert_matches_oracles(dataset, params)
@@ -283,7 +286,7 @@ class TestGapPlan:
             for b in (0, 1):
                 dataset = ObservedDataset(times=[1, hidden + 2], states=[a, b])
                 plan = dataset.gap_plan
-                assert len(plan.steps) == 1
+                assert len(plan.counts) == 1
                 assert len(plan.bits) == (hidden + 1).bit_length()
                 for params in self.PARAMS:
                     assert_matches_oracles(dataset, params)
@@ -318,7 +321,7 @@ def unbatched_posterior(dataset: ObservedDataset, params: ChannelParams) -> tupl
     M[likelihood._M_ROW, likelihood._M_COL] = transition_matrix(params).ravel()[
         likelihood._M_SRC
     ]
-    rows, power = np.eye(10)[plan.start], M
+    rows, power = np.eye(10)[dataset.gap_histogram[0][:, 0]], M
     for bit, mask in enumerate(plan.bits):
         if bit:
             power = power @ power
@@ -385,14 +388,12 @@ class TestBatchedKernel:
                 brute_force_likelihood(dataset, point), rel=1e-10
             )
 
-    def test_zero_probability_point_leaves_the_others(self):
-        # alpha = beta = 1 alternates deterministically: 0 -> 1 in 2 steps is impossible
-        dataset = ObservedDataset(times=[1, 2, 4], states=[1, 0, 1])
-        points = [ChannelParams(0.5, 0.5), ChannelParams(1.0, 1.0), ChannelParams(0.3, 0.2)]
-        first, failed, last = gap_posteriors(dataset, points)
-        assert isinstance(failed, ZeroProbabilityError)
-        assert str(failed) == "gap 0->1 over 2 steps has zero probability"
-        assert [first, last] == [gap_posterior(dataset, p) for p in points[::2]]
+    def test_underflow_fails_the_call(self):
+        # at a subnormal beta, staying occupied over 2**40 + 1 steps underflows
+        dataset = ObservedDataset(times=[1, 2 + 2**40], states=[0, 0])
+        points = [ChannelParams(0.5, 0.5), ChannelParams(0.5, 5e-324)]
+        with pytest.raises(ZeroProbabilityError, match=r"at \(0\.5, 5e-324\)$"):
+            gap_posteriors(dataset, points)
 
     def test_results_satisfy_sufficient_stats_checks(self):
         # SufficientStats' checks must hold on every kernel result, up to the
@@ -411,8 +412,11 @@ class TestBatchedKernel:
         dataset = ObservedDataset(times=[1, 3, 4], states=[0, 1, 1])
         points = [ChannelParams(0.4, 0.6), ChannelParams(0.7, 0.2)]
         assert e_step(dataset, points) == [e_step(dataset, p) for p in points]
-        with pytest.raises(BoundaryParameterError):
-            e_step(dataset, [ChannelParams(0.4, 0.6), ChannelParams(0.0, 0.5)])
+        for boundary in (ChannelParams(0.0, 0.5), ChannelParams(1.0, 1.0)):
+            with pytest.raises(BoundaryParameterError):
+                e_step(dataset, [ChannelParams(0.4, 0.6), boundary])
+            with pytest.raises(BoundaryParameterError):
+                gap_posteriors(dataset, [ChannelParams(0.4, 0.6), boundary])
 
 
 def exact_gap_values(alpha: float, beta: float, hidden_lengths: list[int]) -> dict:
@@ -491,6 +495,28 @@ class TestExactNearBoundary:
                     assert got == 0.0, where
                 else:
                     assert got == pytest.approx(want, rel=1e-12), where
+
+    def test_clamp_floor_keeps_every_gap_probability_normal(self):
+        # an underflowing gap fails the whole kernel call, so no clamped point
+        # may reach one: at every corner that a clamp can reach (eps just above
+        # 2**-54 makes 1 - eps round to 1 - 2**-53) and at every gap length a
+        # dataset admits, each gap probability must stay a normal double
+        edges = [math.ldexp(1 + 2**-52, -54), 2**-53, 1e-9, 0.5, 1 - 1e-9, 1 - 2**-53]
+        points = [ChannelParams(a, b) for a in edges for b in edges]
+        lengths = [0, 1, 2, *(2**k - d for k in (3, 10, 32, 53) for d in (2, 1)),
+                   2**61 - 2]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for g in lengths:
+                for a in (0, 1):
+                    for b in (0, 1):
+                        dataset = ObservedDataset(times=[1, g + 2], states=[a, b])
+                        results = gap_posteriors(dataset, points)
+                        for point, result in zip(points, results):
+                            where = f"gap {a}->{b}, {g} hidden, at {point}"
+                            values = (*result.as_tuple(), result.log_likelihood)
+                            assert all(map(math.isfinite, values)), where
+                            assert math.exp(result.log_likelihood) > 2.2e-308, where
 
 
 class TestSquaredErrorDb:

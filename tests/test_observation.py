@@ -343,10 +343,9 @@ def _rendered(times, states, meta) -> bytes:
 
 
 _EVERY_WIDTH = np.array(
-    [0, *(10**k - 1 for k in range(1, 19)), *(10**k for k in range(19))]
-    + [np.iinfo(np.int64).max],
+    [0, *(10**k - 1 for k in range(1, 19)), *(10**k for k in range(19))] + [2**61],
     dtype=np.int64,
-)  # 1 to 19 digits, each width's smallest and largest value up to 10**18
+)  # 1 to 19 digits, each width's smallest and largest value up to the 2**61 cap
 # the width changes mid-block (9 999 -> 10 000 at row 10) and exactly at the
 # 65 536-row block boundary (99 999 -> 100 000)
 _ACROSS_BLOCKS = np.concatenate(
@@ -416,6 +415,10 @@ class TestWriteSlotStates:
             ([1, 2], [0]),
             ([1.0, 2.7, 3.2], [0, 1, 0]),
             ([1, 2, 3], [0.5, 1.0, 0.9]),
+            ([2**61 + 1], [1]),
+            ([np.iinfo(np.int64).max], [1]),
+            (np.array([2**63 + 5], dtype=np.uint64), [1]),
+            (np.array([2**64 - 1], dtype=np.uint64), [1]),
         ],
         ids=[
             "negative-slot",
@@ -424,6 +427,10 @@ class TestWriteSlotStates:
             "lengths",
             "float-times",
             "float-states",
+            "slot-above-cap",
+            "int64-max",
+            "uint64-above-2p63",
+            "uint64-max",
         ],
     )
     def test_rejects_rows_it_cannot_render(self, tmp_path, times, states):
