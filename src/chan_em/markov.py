@@ -18,6 +18,9 @@ from chan_em.errors import DegenerateParametersError
 OCCUPIED = 0
 IDLE = 1
 
+# slots a sampler block holds on average (see simulate_chain)
+_BLOCK_SLOTS = 2**16
+
 
 @dataclass(frozen=True)
 class ChannelParams:
@@ -85,10 +88,17 @@ def simulate_chain(
     drawn from the stationary law unless `initial` (0 or 1) is given.
     Deterministic for a fixed seed.
 
-    Each bulk draw is kept as a chunk of (run states, run lengths) and
-    nothing is concatenated: the first chunk's last run is padded so that
-    its np.repeat alone is the whole sequence, and the later chunks, a short
-    tail, are repeated over that padding one by one.
+    Sojourns come in rounds of pairs (first state, then the other), each
+    round sized from the slots still to fill. A round draws all its
+    first-state sojourns at once, then the other state's in blocks of about
+    2**16 slots' worth of pairs (one pair when a pair averages more); each
+    block is cut at the slots still to fill and repeated into the sequence,
+    and drawing stops once it is full. Consecutive geometric draws equal one
+    draw of their total size, so the output does not depend on the block
+    size. Memory is the int8 sequence, 8 B per first-state sojourn of the
+    round and one block's repeat, which never exceeds the slots still to
+    fill; a first block that fills the whole sequence is returned as is. So
+    it is bounded by the length asked for, whatever the switch probabilities.
     """
     if length < 1:
         raise ValueError(f"length must be >= 1, got {length}")
@@ -108,32 +118,41 @@ def simulate_chain(
         # an absorbing state: at most one switch, then it fills the remainder
         first_run = length if p_cur == 0.0 else min(int(rng.geometric(p_cur)), length)
         runs = np.array([first, other], dtype=np.int8)
-        chunks = [(runs, np.array([first_run, length - first_run]))]
-    else:
-        # draw pairs of sojourns (first state, then the other) in bulk; full
-        # pairs are drawn, so every chunk starts in the first state
-        mean_pair = 1.0 / p_cur + 1.0 / p_oth
-        chunks = []
-        covered = 0
-        while covered < length:
-            n_pairs = int((length - covered) / mean_pair) + 8
-            lens = np.empty(2 * n_pairs, dtype=np.int64)
-            lens[0::2] = rng.geometric(p_cur, size=n_pairs)
-            lens[1::2] = rng.geometric(p_oth, size=n_pairs)
-            states = np.empty(2 * n_pairs, dtype=np.int8)
-            states[0::2] = first
-            states[1::2] = other
-            chunks.append((states, lens))
-            covered += int(lens.sum())
-    states, lens = chunks[0]
-    head = int(lens.sum())
-    lens[-1] += max(length - head, 0)
-    sequence = np.repeat(states, lens)[:length]
-    for states, lens in chunks[1:]:
-        piece = np.repeat(states, lens)[: length - head]
-        sequence[head : head + len(piece)] = piece
-        head += len(piece)
-    return sequence
+        return np.repeat(runs, [first_run, length - first_run])
+
+    mean_pair = 1.0 / p_cur + 1.0 / p_oth
+    # pairs per block; a pair averages 2 slots or more, so at most 2**15
+    block = max(1, int(_BLOCK_SLOTS / mean_pair))
+    # every block holds full pairs, so its runs alternate from the first state
+    states = np.empty(2 * block, dtype=np.int8)
+    states[0::2] = first
+    states[1::2] = other
+    lens = np.empty(2 * block, dtype=np.int64)
+    sequence = None
+    head = 0
+    while True:
+        n_pairs = int((length - head) / mean_pair) + 8
+        firsts = rng.geometric(p_cur, size=n_pairs)
+        for start in range(0, n_pairs, block):
+            k = min(block, n_pairs - start)
+            n = 2 * k
+            lens[0:n:2] = firsts[start : start + k]
+            lens[1:n:2] = rng.geometric(p_oth, size=k)
+            todo = length - head
+            slots = int(lens[:n].sum())
+            if slots >= todo:
+                # the last block: cut the first run that reaches the end
+                ends = np.cumsum(lens[:n])
+                n = int(np.searchsorted(ends, todo)) + 1
+                lens[n - 1] -= ends[n - 1] - todo
+                if sequence is None:  # one block fills the whole sequence
+                    return np.repeat(states[:n], lens[:n])
+                sequence[head:] = np.repeat(states[:n], lens[:n])
+                return sequence
+            if sequence is None:
+                sequence = np.empty(length, dtype=np.int8)
+            sequence[head : head + slots] = np.repeat(states[:n], lens[:n])
+            head += slots
 
 
 def rank_channels(params_list: list[ChannelParams]) -> list[int]:

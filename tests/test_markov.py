@@ -218,6 +218,11 @@ class TestSimulateChain:
 _ORACLE_CASES = [
     *(((0.9, 0.6), 100_000, seed, None) for seed in range(4)),  # fast
     *(((0.01, 0.02), 200_000, seed, None) for seed in range(4)),  # slow
+    # sojourns far past the length: one run, one single-pair block, fills it
+    *(((1e-5, 0.5), 3_000, seed, None) for seed in range(3)),
+    *(((0.5, 1e-5), 3_000, seed, None) for seed in range(3)),
+    # slowly mixing: several blocks of 78 pairs
+    *(((0.002, 0.003), 200_000, seed, None) for seed in range(2)),
     ((0.3, 0.2), 50_000, 3, OCCUPIED),
     ((0.3, 0.2), 50_000, 3, IDLE),
     ((0.0, 0.4), 1_000, 5, None),  # alpha = 0: occupied absorbs at once
@@ -226,10 +231,31 @@ _ORACLE_CASES = [
     ((0.5, 0.0), 1_000, 6, IDLE),
     ((0.0, 0.0), 50, 7, OCCUPIED),
     ((1.0, 1.0), 11, 8, None),
+    ((1.0, 1.0), 200_000, 8, OCCUPIED),  # every run ends on a slot
     *(((0.9, 0.6), n, 9, None) for n in (1, 2)),
     *(((0.0, 0.4), n, 9, IDLE) for n in (1, 2)),
     *(((0.5, 0.0), n, 9, OCCUPIED) for n in (1, 2)),
 ]
+
+
+def _first_round_ends(params: ChannelParams, length: int, seed: int) -> np.ndarray:
+    """Cumulative run ends of the first round of pairs both samplers draw
+    for `length` slots from `initial=OCCUPIED`."""
+    rng = np.random.default_rng(seed)
+    n_pairs = int(length / (1.0 / params.alpha + 1.0 / params.beta)) + 8
+    lens = np.empty(2 * n_pairs, dtype=np.int64)
+    lens[0::2] = rng.geometric(params.alpha, size=n_pairs)
+    lens[1::2] = rng.geometric(params.beta, size=n_pairs)
+    return np.cumsum(lens)
+
+
+def _traced_peak(*args) -> int:
+    tracemalloc.start()
+    try:
+        simulate_chain(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestSimulateChainOracle:
@@ -241,27 +267,58 @@ class TestSimulateChainOracle:
         assert sequence.dtype == np.int8 and sequence.shape == (length,)
         assert np.array_equal(sequence, expected)
 
-    @pytest.mark.parametrize(
-        "pair, seed, draws", [((0.9, 0.6), 0, 2), ((0.5, 0.5), 10, 3)]
-    )
-    def test_several_bulk_draws(self, pair, seed, draws):
-        # the first draw falls short, so later chunks overwrite its padding
-        params = ChannelParams(*pair)
-        expected, chunks = _reference_chain(params, 300_000, seed)
-        assert chunks == draws
-        assert np.array_equal(simulate_chain(params, 300_000, seed), expected)
-
-    def test_peak_allocation(self):
-        # the concatenating sampler peaks near 60 MB here: it copies the run
-        # lengths once more before repeating them
+    @pytest.mark.parametrize("short", [0, 1])
+    def test_length_at_a_run_end(self, short):
+        # the last block is cut exactly at a run end, or one slot before it,
+        # after several full blocks
         params = ChannelParams(0.9, 0.6)
-        tracemalloc.start()
-        try:
-            simulate_chain(params, 4_500_000, seed=3)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 45 * 2**20
+        length = next(
+            n
+            for n in range(150_000, 150_100)
+            if n + short in _first_round_ends(params, n, seed=2)
+        )
+        expected, _ = _reference_chain(params, length, 2, OCCUPIED)
+        assert np.array_equal(simulate_chain(params, length, 2, OCCUPIED), expected)
+
+    @pytest.mark.parametrize(
+        "pair, length, seed, draws",
+        [
+            ((0.9, 0.6), 300_000, 0, 2),
+            ((0.5, 0.5), 300_000, 10, 3),
+            # pairs of 15 000 slots on average: blocks of four pairs, so both
+            # the first round and the (at least 8-pair) second take several
+            ((1e-4, 2e-4), 3_000_000, 2, 2),
+        ],
+    )
+    def test_several_bulk_draws(self, pair, length, seed, draws):
+        # the first round falls short, so later rounds fill the tail
+        params = ChannelParams(*pair)
+        expected, chunks = _reference_chain(params, length, seed)
+        assert chunks == draws
+        assert np.array_equal(simulate_chain(params, length, seed), expected)
+
+    @pytest.mark.parametrize(
+        "pair, length, bound",
+        [
+            # fast: the int8 sequence and 8 B per first-state sojourn, near
+            # 17.5 MiB; interleaving every run's length before repeating
+            # them all at once held near 37 MiB
+            ((0.9, 0.6), 4_500_000, 20 * 2**20),
+            # slowly mixing: little more than the sequence itself, which a
+            # block spanning the whole sequence would double
+            ((0.002, 0.003), 2_700_800, 2_700_800 + 512 * 2**10),
+        ],
+    )
+    def test_peak_allocation(self, pair, length, bound):
+        assert _traced_peak(ChannelParams(*pair), length, 3) < bound
+
+    @pytest.mark.parametrize(
+        "pair, initial", [((1e-7, 0.5), None), ((0.5, 1e-7), IDLE)]
+    )
+    def test_slow_exit_memory_bounded(self, pair, initial):
+        # a sojourn of ~1e7 slots is never expanded past the 1000 slots asked
+        # for; drawing every run before cutting grew with 1 / alpha (58 MiB)
+        assert _traced_peak(ChannelParams(*pair), 1000, 3, initial) < 2**20
 
 
 class TestRankChannels:
