@@ -56,13 +56,17 @@ from chan_em.markov import (
     OCCUPIED,
     ChannelParams,
     rank_channels,
+    run_blocks,
     simulate_chain,
     transition_matrix,
     utilization,
 )
 from chan_em.observation import (
+    GapData,
+    GapHistogram,
     ObservationSchedule,
     ObservedDataset,
+    ScheduleDraw,
     observe,
 )
 
@@ -80,6 +84,8 @@ __all__ = [
     "EmTrajectory",
     "EnumerationLimitError",
     "EstimateReport",
+    "GapData",
+    "GapHistogram",
     "IDLE",
     "InsufficientDataError",
     "MAX_ENUMERATION_HIDDEN",
@@ -88,6 +94,7 @@ __all__ = [
     "ObservationSchedule",
     "ObservedDataset",
     "SE_FLOOR_DB",
+    "ScheduleDraw",
     "SufficientStats",
     "TrajectoryStep",
     "ZeroProbabilityError",
@@ -107,6 +114,7 @@ __all__ = [
     "n_step_matrix",
     "observe",
     "rank_channels",
+    "run_blocks",
     "relative_error",
     "run_em",
     "score_against_truth",

@@ -11,7 +11,7 @@ the same expectation, so the whole E-step runs over the signature histogram.
 The bridge sums are blocks of one power of a 10x10 block upper-triangular
 matrix (Van Loan 1978), formed for all signatures at once by repeated
 squaring in likelihood.gap_posteriors. Its dataset-only arrays are built once
-per dataset (ObservedDataset.gap_plan), so one E-step costs the bit loop over
+per dataset (GapData.gap_plan), so one E-step costs the bit loop over
 the signatures, O(signatures x log max gap), and also yields the
 log-likelihood. The M-step is expfam.mle_complete, the complete-data ratio
 estimator, on the expected counts, clamped into the open unit square so
@@ -52,8 +52,8 @@ from chan_em.likelihood import (
     se_db_between,
     transition_powers,  # noqa: F401
 )
-from chan_em.markov import OCCUPIED, ChannelParams
-from chan_em.observation import ObservedDataset
+from chan_em.markov import ChannelParams
+from chan_em.observation import GapData
 
 
 @dataclass(frozen=True)
@@ -135,7 +135,7 @@ class EstimateReport:
 
 
 def e_step(
-    dataset: ObservedDataset, params: ChannelParams | Sequence[ChannelParams]
+    dataset: GapData, params: ChannelParams | Sequence[ChannelParams]
 ) -> GapPosterior | list[GapPosterior]:
     """Posterior-expected transition counts under interior parameters.
 
@@ -181,7 +181,7 @@ def relative_error(
 
 
 def _lockstep(
-    dataset: ObservedDataset, starts: Sequence[ChannelParams], config: EmConfig
+    dataset: GapData, starts: Sequence[ChannelParams], config: EmConfig
 ) -> list[EstimateReport | ChanEmError]:
     """Run E-M from every start at once; per start, its report or its error.
 
@@ -242,7 +242,7 @@ def _lockstep(
 
 
 def run_em(
-    dataset: ObservedDataset, start: ChannelParams, config: EmConfig = EmConfig()
+    dataset: GapData, start: ChannelParams, config: EmConfig = EmConfig()
 ) -> EstimateReport:
     """Run E-M from one start.
 
@@ -257,7 +257,7 @@ def run_em(
 
 
 def multi_start(
-    dataset: ObservedDataset, starts: list[ChannelParams], config: EmConfig = EmConfig()
+    dataset: GapData, starts: list[ChannelParams], config: EmConfig = EmConfig()
 ) -> tuple[EstimateReport, list[EstimateReport]]:
     """Run E-M from several starts in lockstep and pick the most likely run.
 
@@ -286,7 +286,7 @@ def multi_start(
 
 
 def score_against_truth(
-    dataset: ObservedDataset,
+    dataset: GapData,
     reports: Sequence[EstimateReport],
     truth: ChannelParams,
     clamp_epsilon: float = 1e-9,
@@ -310,7 +310,7 @@ def score_against_truth(
 
 
 def heuristic_starts(
-    dataset: ObservedDataset, count: int, clamp_epsilon: float = 1e-9
+    dataset: GapData, count: int, clamp_epsilon: float = 1e-9
 ) -> list[ChannelParams]:
     """Starting points on the empirical-occupancy line.
 
@@ -323,7 +323,7 @@ def heuristic_starts(
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    occupied_fraction = float(np.mean(dataset.states == OCCUPIED))
+    occupied_fraction = dataset.occupied_fraction
     if occupied_fraction in (0.0, 1.0):
         raise DegenerateObservationsError(
             "all observations agree, occupancy line undefined"

@@ -16,6 +16,7 @@ from chan_em.harness.experiments import (
     cmd_trajectories,
     derive_seed,
     realize_dataset,
+    realize_histogram,
 )
 from chan_em.harness.presets import PRESET_NAMES, PRESETS, preset_config
 
@@ -36,4 +37,5 @@ __all__ = [
     "parse_config",
     "preset_config",
     "realize_dataset",
+    "realize_histogram",
 ]

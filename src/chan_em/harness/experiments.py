@@ -3,6 +3,10 @@
 Every experiment realizes its data from the config's master seed through
 fixed derivation paths (one stream per purpose and channel), so rerunning
 any command with the same resolved config writes byte-identical files.
+The fitting commands realize each channel straight into its gap histogram
+(realize_histogram), which is all a fit reads; simulate writes every slot
+and observation, so it materializes them (realize_dataset) from the same
+draws.
 Output files carry a metadata block naming the tool version, the command,
 the config hash, and the master seed.
 """
@@ -11,6 +15,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from pathlib import Path
 from typing import Any, Iterable
 
@@ -29,8 +34,20 @@ from chan_em.errors import ConfigError
 from chan_em.harness.config import ExperimentConfig, config_hash
 from chan_em.likelihood import geometric_mean_likelihood, se_db_between
 from chan_em.likelihood import squared_error_db  # noqa: F401  kept for bench/tracing.py
-from chan_em.markov import ChannelParams, rank_channels, simulate_chain, utilization
-from chan_em.observation import ObservationSchedule, ObservedDataset, write_slot_states
+from chan_em.markov import (
+    ChannelParams,
+    rank_channels,
+    run_blocks,
+    simulate_chain,
+    utilization,
+)
+from chan_em.observation import (
+    GapData,
+    GapHistogram,
+    ObservationSchedule,
+    ObservedDataset,
+    write_slot_states,
+)
 
 # seed-derivation stream tags (second entry of the SeedSequence path)
 _STREAM_CHAIN = 0
@@ -61,6 +78,7 @@ def realize_dataset(
 
     Returns (dataset, full sequence). The chain seed and the schedule seed
     are derived independently from the master seed and the channel index.
+    Every slot and every observation is held; fits use realize_histogram.
     """
     schedule = _with_seed(
         schedule, derive_seed(master_seed, _STREAM_SCHEDULE, channel_index)
@@ -70,19 +88,44 @@ def realize_dataset(
     sequence = simulate_chain(
         truth, total_slots, derive_seed(master_seed, _STREAM_CHAIN, channel_index)
     )
-    dataset = ObservedDataset(times=times, states=sequence[times - 1])
-    return dataset, sequence
+    return ObservedDataset.sample(sequence, times), sequence
 
 
-def _channel_dataset(config: ExperimentConfig, index: int = 0) -> ObservedDataset:
-    """The observed dataset of channel `index`, realized from its truth."""
-    return realize_dataset(
+def realize_histogram(
+    truth: ChannelParams,
+    schedule: ObservationSchedule,
+    num_observations: int,
+    master_seed: int,
+    channel_index: int = 0,
+) -> GapHistogram:
+    """realize_dataset's channel, straight into its gap histogram.
+
+    The same draws, so the same histogram and counts as
+    realize_dataset(...)[0], but no slot sequence, slot index or observed
+    state is held: memory is the schedule's picks (1 B an observation for
+    up to 256 support entries), the sampler's kept first-state sojourns
+    (1 B each at fig5's truths) and one block of each stage.
+    """
+    schedule = _with_seed(
+        schedule, derive_seed(master_seed, _STREAM_SCHEDULE, channel_index)
+    )
+    draw = schedule.draw(num_observations - 1)
+    chain_seed = derive_seed(master_seed, _STREAM_CHAIN, channel_index)
+    # no slot bound on the blocks: GapHistogram.observe expands runs only
+    # where they are observed densely
+    runs = run_blocks(truth, draw.last_slot, chain_seed, block_slots=math.inf)
+    return GapHistogram.observe(runs, draw)
+
+
+def _channel_dataset(config: ExperimentConfig, index: int = 0) -> GapHistogram:
+    """The gap histogram of channel `index`, realized from its truth."""
+    return realize_histogram(
         config.true_params[index],
         config.schedule,
         config.observed_slots,
         config.master_seed,
         channel_index=index,
-    )[0]
+    )
 
 
 def _check_truths(truths: Iterable[ChannelParams]) -> None:
@@ -94,9 +137,7 @@ def _check_truths(truths: Iterable[ChannelParams]) -> None:
         relative_error(truth, truth)
 
 
-def _resolve_starts(
-    config: ExperimentConfig, dataset: ObservedDataset
-) -> list[ChannelParams]:
+def _resolve_starts(config: ExperimentConfig, dataset: GapData) -> list[ChannelParams]:
     if isinstance(config.starts, int):
         return heuristic_starts(dataset, config.starts, config.em.clamp_epsilon)
     return list(config.starts)

@@ -28,7 +28,7 @@ from chan_em.errors import (
 )
 from chan_em.expfam import SufficientStats
 from chan_em.markov import IDLE, OCCUPIED, ChannelParams, transition_matrix
-from chan_em.observation import ObservedDataset
+from chan_em.observation import GapData, ObservedDataset
 
 SE_FLOOR_DB = -320.0
 
@@ -103,8 +103,8 @@ class GapPlan(NamedTuple):
     gather: np.ndarray
 
 
-def build_gap_plan(dataset: ObservedDataset) -> GapPlan:
-    """The plan of one dataset; ObservedDataset.gap_plan caches it."""
+def build_gap_plan(dataset: GapData) -> GapPlan:
+    """The plan of one dataset; GapData.gap_plan caches it."""
     signatures, counts = dataset.gap_histogram
     start, end, hidden = signatures.T
     steps = hidden + 1
@@ -118,7 +118,7 @@ def build_gap_plan(dataset: ObservedDataset) -> GapPlan:
 
 
 def gap_posteriors(
-    dataset: ObservedDataset, points: Sequence[ChannelParams]
+    dataset: GapData, points: Sequence[ChannelParams]
 ) -> list[GapPosterior]:
     """Posterior-expected transition counts and log-likelihood at each point.
 
@@ -206,13 +206,13 @@ def _reduce(plan: GapPlan, blocks: np.ndarray) -> list[GapPosterior]:
     ]
 
 
-def gap_posterior(dataset: ObservedDataset, params: ChannelParams) -> GapPosterior:
+def gap_posterior(dataset: GapData, params: ChannelParams) -> GapPosterior:
     """gap_posteriors at one point."""
     (result,) = gap_posteriors(dataset, (params,))
     return result
 
 
-def incomplete_log_likelihood(dataset: ObservedDataset, params: ChannelParams) -> float:
+def incomplete_log_likelihood(dataset: GapData, params: ChannelParams) -> float:
     """Log-probability of the observed states given the first one.
 
     Sum over gaps of log [P^(g+1)]_{a,b}, grouped by gap signature and
@@ -222,7 +222,7 @@ def incomplete_log_likelihood(dataset: ObservedDataset, params: ChannelParams) -
     return gap_posterior(dataset, params).log_likelihood
 
 
-def geometric_mean_likelihood(dataset: ObservedDataset, params: ChannelParams) -> float:
+def geometric_mean_likelihood(dataset: GapData, params: ChannelParams) -> float:
     """Per-transition likelihood exp(loglik / num_transitions).
 
     Normalizing by the spanned transition count keeps the value on a
@@ -327,7 +327,7 @@ def se_db_between(value: float, reference: float) -> float:
 
 
 def squared_error_db(
-    dataset: ObservedDataset, estimate: ChannelParams, reference: ChannelParams
+    dataset: GapData, estimate: ChannelParams, reference: ChannelParams
 ) -> float:
     """Likelihood-gap score of an estimate against reference parameters.
 

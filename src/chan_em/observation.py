@@ -5,8 +5,12 @@ indices (1-based, always starting at slot 1). Consecutive observations at
 slots t and t' leave t' - t - 1 hidden slots between them; the triple
 (start state, end state, hidden length) is all the likelihood ever needs
 from a gap, so datasets precompute a histogram of those signatures, and
-cache the gap kernel's plan built from it. The `slot_index,state` CSV of
-observed and full sequences is written and read only here.
+cache the gap kernel's plan built from it. A fit needs nothing else, so
+GapHistogram holds just that histogram and a few counts, and builds it
+block by block from a chain's runs and a schedule's draw, with no
+per-slot or per-observation array. ObservedDataset keeps every observed
+slot and state. The `slot_index,state` CSV of observed and full sequences
+is written and read only here.
 """
 
 from __future__ import annotations
@@ -15,16 +19,19 @@ import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import TYPE_CHECKING, BinaryIO
+from typing import TYPE_CHECKING, BinaryIO, Iterable, Iterator
 
 import numpy as np
 
 from chan_em.errors import InsufficientDataError
+from chan_em.markov import OCCUPIED
 
 if TYPE_CHECKING:
     from chan_em.likelihood import GapPlan
 
 _SCHEDULE_KINDS = ("fixed", "random-uniform")
+_BLOCK = 1 << 16  # gaps per block of a schedule draw, a gather or a histogram
+_DENSE = 16  # slots per observed slot up to which a run block is expanded
 _WRITE_BLOCK = 1 << 16  # rows per formatted write of explicit slot indices
 _SPAN = 10**5  # implicit slot indices from 10**4 on: rows per aligned span
 _POWERS_OF_TEN = 10 ** np.arange(1, 19, dtype=np.int64)  # digit-count thresholds
@@ -38,8 +45,8 @@ class ObservationSchedule:
 
     kind "fixed" skips the same number every time; "random-uniform" draws the
     skip i.i.d. uniformly from `support` (a tuple of lengths >= 1) using its
-    own seed, so a schedule is replayable independently of the chain. It is
-    one bulk draw: every observation count sees a prefix of the same stream.
+    own seed, so a schedule is replayable independently of the chain. Every
+    observation count sees a prefix of the same stream.
     """
 
     kind: str
@@ -83,41 +90,112 @@ class ObservationSchedule:
             seed=None if seed is None else int(seed),
         )
 
-    def _times(self, gaps: int) -> np.ndarray:
-        """The first `gaps + 1` observation slots, starting at slot 1.
+    def draw(self, gaps: int) -> ScheduleDraw:
+        """The steps between the first `gaps + 1` observation slots.
 
-        A random schedule draws all `gaps` skips in one call on a freshly
-        seeded generator, so every count sees a prefix of the same stream.
+        A random schedule draws its `gaps` picks, _BLOCK at a time, from a
+        freshly seeded generator; consecutive draws equal one draw of their
+        total size, so every count sees a prefix of the same stream. The
+        picks are kept, narrowed, rather than drawn a second time when the
+        slots are built: 1 B a gap costs less than a second draw's time
+        (about 5 ms per 1e6 picks), and the draw stays one pass.
         """
-        steps = np.ones(gaps + 1, dtype=np.int64)
         if self.kind == "fixed":
-            steps[1:] = self.skip + 1
-        else:
-            if self.seed is None:
-                raise ValueError("random-uniform schedule needs a seed before drawing")
-            rng = np.random.default_rng(self.seed)
-            picks = rng.integers(0, len(self.support), size=gaps)
-            # in place: mode "raise" would buffer a copy of the output
-            np.take(np.add(self.support, 1), picks, out=steps[1:], mode="clip")
-        return np.cumsum(steps, out=steps)
+            steps = np.array([self.skip + 1], dtype=np.int64)
+            return ScheduleDraw(steps, None, gaps, 1 + gaps * (self.skip + 1))
+        if self.seed is None:
+            raise ValueError("random-uniform schedule needs a seed before drawing")
+        steps = np.array(self.support, dtype=np.int64) + 1
+        rng = np.random.default_rng(self.seed)
+        picks = np.empty(gaps, dtype=np.min_scalar_type(len(steps) - 1))
+        last_slot = 1
+        for lo in range(0, gaps, _BLOCK):
+            block = rng.integers(0, len(steps), size=min(_BLOCK, gaps - lo))
+            picks[lo : lo + len(block)] = block
+            last_slot += int(steps.take(block).sum())
+        return ScheduleDraw(steps, picks, gaps, last_slot)
 
     def times_for_count(self, num_observations: int) -> np.ndarray:
         """1-based observation slots for exactly `num_observations` samples."""
         if num_observations < 2:
             raise ValueError("need at least 2 observations")
-        return self._times(num_observations - 1)
+        return self.draw(num_observations - 1).times()
 
     def times_within(self, total_slots: int) -> np.ndarray:
         """All observation slots that fit a sequence of `total_slots` slots."""
         if total_slots < 1:
             raise ValueError("total_slots must be >= 1")
         shortest_step = 1 + (self.skip if self.kind == "fixed" else min(self.support))
-        times = self._times((total_slots - 1) // shortest_step)
+        times = self.draw((total_slots - 1) // shortest_step).times()
         return times[times <= total_slots]
 
 
 @dataclass(frozen=True)
-class ObservedDataset:
+class ScheduleDraw:
+    """The steps between the first `gaps + 1` observation slots of a schedule.
+
+    Gap i spans `steps[picks[i]]` slots, or `steps[0]` for every gap when
+    `picks` is None (a fixed schedule). The picks are support indices in
+    the narrowest unsigned dtype that holds them, 1 B a gap for up to 256
+    support entries, not int64 slot indices; `last_slot`, the last
+    observed slot, is known before any slot index is built, so the chain
+    can be simulated to that length first.
+    """
+
+    steps: np.ndarray
+    picks: np.ndarray | None
+    gaps: int
+    last_slot: int
+
+    def step_blocks(self) -> Iterator[np.ndarray]:
+        """Every gap's step as int64, in order, in fresh blocks of _BLOCK."""
+        for lo in range(0, self.gaps, _BLOCK):
+            hi = min(lo + _BLOCK, self.gaps)
+            if self.picks is None:
+                yield np.full(hi - lo, self.steps[0])
+            else:
+                yield self.steps.take(self.picks[lo:hi])
+
+    def times(self) -> np.ndarray:
+        """The `gaps + 1` observation slots as int64, starting at slot 1."""
+        times = np.ones(self.gaps + 1, dtype=np.int64)
+        for lo, steps in zip(range(1, self.gaps + 1, _BLOCK), self.step_blocks()):
+            times[lo : lo + len(steps)] = steps
+        return np.cumsum(times, out=times)
+
+
+class GapData:
+    """What a fit reads of observed data.
+
+    Subclasses provide `gap_histogram` (the pair (signatures, counts)),
+    `num_observations`, `num_transitions` and `num_occupied`, the count of
+    observations in the occupied state.
+    """
+
+    gap_histogram: tuple[np.ndarray, np.ndarray]
+    num_observations: int
+    num_transitions: int
+    num_occupied: int
+
+    @property
+    def occupied_fraction(self) -> float:
+        """Fraction of the observations in the occupied state."""
+        return self.num_occupied / self.num_observations
+
+    @cached_property
+    def gap_plan(self) -> GapPlan:
+        """The gap kernel's data-only arrays, built on first use.
+
+        Cached here so every E-M iterate on this data reuses them and they
+        are freed with it; see likelihood.gap_posteriors.
+        """
+        from chan_em.likelihood import build_gap_plan  # likelihood imports us
+
+        return build_gap_plan(self)
+
+
+@dataclass(frozen=True)
+class ObservedDataset(GapData):
     """States sampled at strictly increasing 1-based slot indices.
 
     `times[0]` is always 1 (the first slot is observed) and at least two
@@ -148,6 +226,19 @@ class ObservedDataset:
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "states", states)
 
+    @classmethod
+    def sample(cls, sequence: np.ndarray, times: np.ndarray) -> ObservedDataset:
+        """The states of a fully simulated sequence at 1-based `times`.
+
+        Gathered _BLOCK slots at a time, so no int64 `times - 1` of the
+        whole length is built.
+        """
+        seq = np.asarray(sequence)
+        states = np.empty(len(times), dtype=seq.dtype)
+        for lo in range(0, len(times), _BLOCK):
+            states[lo : lo + _BLOCK] = seq[times[lo : lo + _BLOCK] - 1]
+        return cls(times=times, states=states)
+
     @property
     def num_observations(self) -> int:
         return int(self.times.shape[0])
@@ -156,6 +247,10 @@ class ObservedDataset:
     def num_transitions(self) -> int:
         """Transitions spanned by the observation window, times[-1] - 1."""
         return int(self.times[-1]) - 1
+
+    @property
+    def num_occupied(self) -> int:
+        return int(np.count_nonzero(self.states == OCCUPIED))
 
     @cached_property
     def gap_histogram(self) -> tuple[np.ndarray, np.ndarray]:
@@ -167,39 +262,13 @@ class ObservedDataset:
         likelihood and E-step work is linear in the number of signatures
         rather than the number of observations.
 
-        Memory is one int64 key per gap, filled in place: the int8 states
-        are added in numpy's casting blocks, never copied whole. When the
-        largest key is below the number of gaps, np.bincount counts them in
-        O(n) with a table no larger than the keys; otherwise (sparse keys,
-        such as one gap of 1e12 slots) np.unique sorts a copy, O(n log n).
-        On 1e6 observations of the fig5 schedule this takes 7 ms and peaks
-        at 1.01 x times.nbytes (tracemalloc, 2-vCPU x86-64, numpy 2.4).
+        Memory is one int64 key per gap, filled in place (_gap_keys) and
+        counted as one block by _count_keys. On 1e6 observations of the fig5
+        schedule this takes 7 ms and peaks at 1.01 x times.nbytes
+        (tracemalloc, 2-vCPU x86-64, numpy 2.4).
         """
-        key = np.subtract(self.times[1:], self.times[:-1])  # hidden + 1
-        key <<= 1
-        key += self.states[:-1]
-        key <<= 1
-        key += self.states[1:]
-        key -= 4  # 4 * hidden + 2 * start + end
-        if key.max() < len(key):
-            counts = np.bincount(key)
-            uniq = np.flatnonzero(counts)
-            counts = counts[uniq]
-        else:
-            uniq, counts = np.unique(key, return_counts=True)
-        signatures = np.column_stack(((uniq >> 1) & 1, uniq & 1, uniq >> 2))
-        return signatures, counts
-
-    @cached_property
-    def gap_plan(self) -> GapPlan:
-        """The gap kernel's dataset-only arrays, built on first use.
-
-        Cached here so every E-M iterate on this dataset reuses them and
-        they are freed with it; see likelihood.gap_posteriors.
-        """
-        from chan_em.likelihood import build_gap_plan  # likelihood imports us
-
-        return build_gap_plan(self)
+        steps = np.subtract(self.times[1:], self.times[:-1])
+        return _count_keys([_gap_keys(steps, self.states)])
 
     def save(self, path: str | Path, meta: dict[str, object] | None = None) -> None:
         """Write `slot_index,state` CSV; optional metadata as leading # lines."""
@@ -218,6 +287,161 @@ class ObservedDataset:
         if rows.size and rows.shape[1] != 2:
             raise ValueError(f"rows must hold 2 fields, got {rows.shape[1]}")
         return cls(*rows.reshape(-1, 2).T)  # columns: times, states
+
+
+@dataclass(frozen=True)
+class GapHistogram(GapData):
+    """The gap histogram of an observed chain and the counts a fit reads.
+
+    `signatures` and `counts` are what ObservedDataset.gap_histogram
+    returns for the same observations, values, dtypes and row order alike;
+    no slot index or state of an observation is kept.
+    """
+
+    signatures: np.ndarray
+    counts: np.ndarray
+    num_observations: int
+    num_transitions: int
+    num_occupied: int
+
+    @property
+    def gap_histogram(self) -> tuple[np.ndarray, np.ndarray]:
+        return self.signatures, self.counts
+
+    @classmethod
+    def observe(
+        cls, runs: Iterable[tuple[np.ndarray, np.ndarray]], draw: ScheduleDraw
+    ) -> GapHistogram:
+        """The histogram of a chain seen at the slots of a schedule draw.
+
+        `runs` are the chain's consecutive (states, lengths) run blocks, as
+        markov.run_blocks yields them, covering at least `draw.last_slot`
+        slots. Each block of _BLOCK gaps gets its slots from the draw, their
+        states from the runs (_RunCursor) and its keys from _gap_keys, and is
+        counted by _count_keys, the reduction ObservedDataset.gap_histogram
+        runs on its whole arrays. Memory is one block of each, and of the
+        runs; the occupied count is read off the histogram's end states.
+        """
+        if draw.gaps < 1:
+            raise InsufficientDataError("need at least 2 observations")
+        chain = _RunCursor(runs)
+        first = int(chain.states_at(np.zeros(1, dtype=np.int64))[0])
+        signatures, counts = _count_keys(_observed_keys(chain, draw, first))
+        ends_occupied = int(counts[signatures[:, 1] == OCCUPIED].sum())
+        return cls(
+            signatures=signatures,
+            counts=counts,
+            num_observations=draw.gaps + 1,
+            num_transitions=draw.last_slot - 1,
+            num_occupied=(first == OCCUPIED) + ends_occupied,
+        )
+
+
+class _RunCursor:
+    """The states of a chain, given as run blocks, at ascending slots.
+
+    Where a call's slots fall at least once every _DENSE slots of a block
+    on average, the block is expanded into its slots by np.repeat (so at
+    most _DENSE * (_BLOCK + 1) of them) and read by index; elsewhere its
+    states are found by np.searchsorted on its run ends, so the long runs of
+    a slowly mixing chain seen through long gaps are never expanded.
+    """
+
+    def __init__(self, runs: Iterable[tuple[np.ndarray, np.ndarray]]) -> None:
+        self._runs = iter(runs)
+        self._start = self._stop = 0  # slots of the current block
+        self._states = np.zeros(0, dtype=np.int8)  # its runs, valid until
+        self._lens = np.zeros(0, dtype=np.int64)  # the next block is taken
+        self._expanded: np.ndarray | None = None  # one state per slot
+        self._ends: np.ndarray | None = None  # the slot after each run
+
+    def states_at(self, slots: np.ndarray) -> np.ndarray:
+        """The state at each ascending 0-based slot, all past earlier calls'."""
+        out = np.empty(len(slots), dtype=np.int8)
+        done = 0
+        while done < len(slots):
+            if slots[done] >= self._stop:
+                self._states, self._lens = next(self._runs)
+                self._start = self._stop
+                self._stop += int(self._lens.sum())
+                self._expanded = self._ends = None
+                continue
+            stop = int(np.searchsorted(slots, self._stop))
+            offsets = slots[done:stop] - self._start
+            if self._expanded is None and self._stop - self._start <= _DENSE * (
+                stop - done
+            ):
+                self._expanded = np.repeat(self._states, self._lens)
+            if self._expanded is not None:
+                out[done:stop] = self._expanded[offsets]
+            else:
+                if self._ends is None:
+                    self._ends = np.cumsum(self._lens)
+                runs = np.searchsorted(self._ends, offsets, side="right")
+                out[done:stop] = self._states[runs]
+            done = stop
+        return out
+
+
+def _observed_keys(
+    chain: _RunCursor, draw: ScheduleDraw, first: int
+) -> Iterator[np.ndarray]:
+    """Each block's gap keys, reading the chain at the draw's slots."""
+    states = np.empty(_BLOCK + 1, dtype=np.int8)
+    states[0] = first
+    slot = 0  # 0-based slot of the block's preceding observation
+    for steps in draw.step_blocks():
+        k = len(steps)
+        slots = np.cumsum(steps)
+        slots += slot
+        states[1 : k + 1] = chain.states_at(slots)
+        slot = int(slots[-1])
+        yield _gap_keys(steps, states[: k + 1])
+        states[0] = states[k]
+
+
+def _gap_keys(steps: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """Each gap's key 4 * hidden + 2 * start + end, built in `steps`.
+
+    `steps` (int64, hidden + 1 per gap) is overwritten and returned;
+    `states` holds one more entry, each gap's start then end. The int8
+    states are added in numpy's casting blocks, never copied whole.
+    """
+    key = steps
+    key <<= 1
+    key += states[:-1]
+    key <<= 1
+    key += states[1:]
+    key -= 4
+    return key
+
+
+def _count_keys(key_blocks: Iterable[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """(signatures, counts) of every gap key, in ascending key order.
+
+    When a block's largest key is below its length, np.bincount counts it in
+    O(n) with a table no larger than the keys; otherwise (sparse keys, such
+    as one gap of 1e12 slots) np.unique sorts a copy, O(n log n). Later
+    blocks are merged in over the distinct keys alone.
+    """
+    keys = counts = None
+    for key in key_blocks:
+        if key.max() < len(key):
+            block_counts = np.bincount(key)
+            block_keys = np.flatnonzero(block_counts)
+            block_counts = block_counts[block_keys]
+        else:
+            block_keys, block_counts = np.unique(key, return_counts=True)
+        if keys is None:
+            keys, counts = block_keys, block_counts
+            continue
+        merged = np.union1d(keys, block_keys)
+        total = np.zeros(len(merged), dtype=counts.dtype)
+        total[np.searchsorted(merged, keys)] = counts
+        total[np.searchsorted(merged, block_keys)] += block_counts
+        keys, counts = merged, total
+    signatures = np.column_stack(((keys >> 1) & 1, keys & 1, keys >> 2))
+    return signatures, counts
 
 
 def _exact_copy(values: np.ndarray, dtype: type, name: str) -> np.ndarray:
@@ -374,5 +598,5 @@ def observe(sequence: np.ndarray, schedule: ObservationSchedule) -> ObservedData
             f"schedule exhausts the sequence: only {times.shape[0]} observation(s) "
             f"fit in {total} slots"
         )
-    return ObservedDataset(times=times, states=seq[times - 1])
+    return ObservedDataset.sample(seq, times)
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import io
 import json
 import sys
+import tracemalloc
 import weakref
 from collections import Counter
 from pathlib import Path
@@ -12,7 +13,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from chan_em import ChannelParams, ObservedDataset, multi_start, relative_error, run_em
+from chan_em import (
+    ChannelParams,
+    ObservedDataset,
+    multi_start,
+    relative_error,
+    run_em,
+    utilization,
+)
 from chan_em.errors import ConfigError
 from chan_em.harness import (
     ExperimentConfig,
@@ -28,6 +36,7 @@ from chan_em.harness import (
     parse_config,
     preset_config,
     realize_dataset,
+    realize_histogram,
 )
 from chan_em.harness import experiments
 from chan_em.harness.cli import main
@@ -392,6 +401,116 @@ class TestRealizeDataset:
         assert (d1.times != d3.times).any()
 
 
+def _desk_preset_channels():
+    """(name, index) of every channel of every preset, at desk scale."""
+    return [
+        (name, index)
+        for name in PRESET_NAMES
+        for index in range(len(preset_config(name)["true_params"]))
+    ]
+
+
+def _first_round_ends(truth: ChannelParams, length: int, seed: int) -> np.ndarray:
+    """Uncut run ends of the first round of sojourns simulate_chain draws."""
+    rng = np.random.default_rng(seed)
+    first = 0 if rng.random() < utilization(truth) else 1
+    exits = truth.as_tuple()
+    p_cur, p_oth = exits[first], exits[1 - first]
+    n_pairs = int(length / (1.0 / p_cur + 1.0 / p_oth)) + 8
+    lens = np.empty(2 * n_pairs, dtype=np.int64)
+    lens[0::2] = rng.geometric(p_cur, size=n_pairs)
+    lens[1::2] = rng.geometric(p_oth, size=n_pairs)
+    return np.cumsum(lens)
+
+
+class TestRealizeHistogram:
+    """The fit path's streamed histogram against realize_dataset's dataset."""
+
+    @staticmethod
+    def assert_streams_the_dataset(truth, schedule, count, seed, index=0):
+        dataset, _ = realize_dataset(truth, schedule, count, seed, channel_index=index)
+        histogram = realize_histogram(truth, schedule, count, seed, channel_index=index)
+        for got, want in zip(histogram.gap_histogram, dataset.gap_histogram):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)  # values and row order
+        assert histogram.num_transitions == dataset.num_transitions
+        assert histogram.num_observations == dataset.num_observations == count
+        assert histogram.occupied_fraction == float(np.mean(dataset.states == 0))
+
+    @pytest.mark.parametrize("name, index", _desk_preset_channels())
+    def test_every_preset_channel(self, name, index):
+        config = parse_config(preset_config(name))
+        self.assert_streams_the_dataset(
+            config.true_params[index],
+            config.schedule,
+            config.observed_slots,
+            config.master_seed,
+            index,
+        )
+
+    @pytest.mark.parametrize(
+        "schedule, count",
+        [
+            (ObservationSchedule.fixed(0), 20_000),
+            # duplicate and unsorted support entries
+            (ObservationSchedule.random_uniform((5, 2, 2, 9, 1, 5)), 20_000),
+            # keys far past the number of gaps: counted by np.unique
+            (ObservationSchedule.random_uniform((1, 100_000)), 20),
+            # observation counts on and just past the histogram's block edges
+            (ObservationSchedule.fixed(1), 2**16),
+            (ObservationSchedule.fixed(1), 2**16 + 1),
+            (ObservationSchedule.random_uniform((1, 2, 3)), 2 * 2**16),
+            (ObservationSchedule.random_uniform((1, 2, 3)), 2 * 2**16 + 1),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "pair", [(0.002, 0.003), (1.0, 1.0), (0.9, 0.6), (1e-300, 0.909)]
+    )
+    def test_schedules_and_truths(self, schedule, count, pair):
+        self.assert_streams_the_dataset(ChannelParams(*pair), schedule, count, 21)
+
+    @pytest.mark.parametrize("short", [0, 1])
+    def test_chain_ending_on_a_run_end(self, short):
+        # skip 0 observes every slot, so the chain's last slot is observed;
+        # it ends exactly on a run end, or one slot before one, after the
+        # first of two run blocks of 2**15 pairs
+        truth, seed = ChannelParams(0.9, 0.6), derive_seed(10, 0)
+        count = next(
+            n
+            for n in range(150_000, 150_100)
+            if n + short in _first_round_ends(truth, n, seed)
+        )
+        self.assert_streams_the_dataset(truth, ObservationSchedule.fixed(0), count, 10)
+
+    def test_fit_path_memory(self):
+        # fig5's fastest channel at paper scale: the schedule's picks, the
+        # kept first-state sojourns and one block of each stage; times,
+        # states, the slot sequence and one key per gap held near 41 MiB
+        schedule = ObservationSchedule.random_uniform((1, 2, 3, 4, 5, 6))
+        np.random.default_rng(0)  # numpy imports np.random on first use: not traced
+        tracemalloc.start()
+        try:
+            realize_histogram(ChannelParams(0.9, 0.6), schedule, 10**6, 20, 4)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
+    def test_long_fixed_skip_allocates_no_table(self):
+        # keys near 4e7 over 2e7 slots: a count table over the keys (320 MB)
+        # or the slots (19 MiB) would show; blocks of 2**15 pairs stay
+        schedule = ObservationSchedule.fixed(10**7)
+        np.random.default_rng(0)  # numpy imports np.random on first use: not traced
+        tracemalloc.start()
+        try:
+            histogram = realize_histogram(ChannelParams(0.002, 0.003), schedule, 3, 5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert set(histogram.signatures[:, 2].tolist()) == {10**7}
+        assert peak < 4 * 2**20
+
+
 class TestCmdSimulate:
     def test_fixed_schedule_file(self, tmp_path):
         config = parse_config(small_config(tmp_path, observed_slots=10))
@@ -696,19 +815,19 @@ class TestCmdMultichannel:
             cmd_multichannel(config, resolved)
 
     def test_holds_one_channel_dataset_at_a_time(self, tmp_path, monkeypatch):
-        # a weakref to every dataset realized so far must be dead by the time
-        # the next channel is realized, and by the time the command returns
+        # a weakref to every histogram realized so far must be dead by the
+        # time the next channel is realized, and by the time the command returns
         alive = []
-        real = experiments.realize_dataset
+        real = experiments.realize_histogram
 
         def tracked(*args, **kwargs):
             held = [ref for ref in alive if ref() is not None]
-            assert held == [], f"{len(held)} earlier dataset(s) alive"
+            assert held == [], f"{len(held)} earlier histogram(s) alive"
             result = real(*args, **kwargs)
-            alive.append(weakref.ref(result[0]))
+            alive.append(weakref.ref(result))
             return result
 
-        monkeypatch.setattr(experiments, "realize_dataset", tracked)
+        monkeypatch.setattr(experiments, "realize_histogram", tracked)
         channels = [{"alpha": 0.8, "beta": 0.3}, {"alpha": 0.2, "beta": 0.9}] * 2
         resolved = small_config(
             tmp_path,
@@ -837,14 +956,17 @@ class TestCli:
     def test_zero_truth_fails_before_realizing(
         self, tmp_path, capsys, monkeypatch, command, exit_code
     ):
+        # fits realize through realize_histogram, simulate through
+        # realize_dataset: every command realizes its channel through one
         realized = []
-        real = experiments.realize_dataset
+        for name in ("realize_histogram", "realize_dataset"):
+            real = getattr(experiments, name)
 
-        def counted(*args, **kwargs):
-            realized.append(args)
-            return real(*args, **kwargs)
+            def counted(*args, real=real, **kwargs):
+                realized.append(args)
+                return real(*args, **kwargs)
 
-        monkeypatch.setattr(experiments, "realize_dataset", counted)
+            monkeypatch.setattr(experiments, name, counted)
         truths = [{"alpha": 0.3, "beta": 0.0}]
         if command in ("multichannel", "rank"):
             truths.insert(0, {"alpha": 0.8, "beta": 0.3})  # the zero is the second
@@ -860,6 +982,27 @@ class TestCli:
             assert realized == []
         else:
             assert len(realized) == 1
+
+    @pytest.mark.parametrize(
+        "command",
+        ["simulate", "trajectories", "table1", "se-grid", "multichannel", "rank"],
+    )
+    def test_tiny_truth_never_raises(self, tmp_path, capsys, command):
+        # geometric draws near 2**63 at alpha = 1e-300 overflowed the
+        # sampler's sums: every command exited 1 with a raw ValueError
+        path = tmp_path / "config.json"
+        config = small_config(
+            tmp_path / "out",
+            true_params=[{"alpha": 1e-300, "beta": 0.909}],
+            schedule={"kind": "fixed", "skip": 50},
+            observed_slots=10,
+            starts=[{"alpha": 0.6, "beta": 0.5}],
+            grid={"step": 0.25},
+            write_sequence=True,
+        )
+        path.write_text(json.dumps(config))
+        assert main([command, "--config", str(path)]) in (0, 2, 3, 4)
+        assert "Traceback" not in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["multichannel", "rank"])
     @pytest.mark.parametrize("count, exit_code", [(3, 2), (1, 0)])

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -13,10 +14,12 @@ from chan_em import (
     IDLE,
     OCCUPIED,
     rank_channels,
+    run_blocks,
     simulate_chain,
     transition_matrix,
     utilization,
 )
+from chan_em.markov import _kept_geometric
 
 
 def run_lengths(sequence: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -250,6 +253,7 @@ def _first_round_ends(params: ChannelParams, length: int, seed: int) -> np.ndarr
 
 
 def _traced_peak(*args) -> int:
+    np.random.default_rng(0)  # numpy imports np.random on first use: not traced
     tracemalloc.start()
     try:
         simulate_chain(*args)
@@ -300,10 +304,11 @@ class TestSimulateChainOracle:
     @pytest.mark.parametrize(
         "pair, length, bound",
         [
-            # fast: the int8 sequence and 8 B per first-state sojourn, near
-            # 17.5 MiB; interleaving every run's length before repeating
-            # them all at once held near 37 MiB
-            ((0.9, 0.6), 4_500_000, 20 * 2**20),
+            # fast: the int8 sequence and 1 B per first-state sojourn, near
+            # 7.3 MiB; kept as int64 they held near 17.5 MiB, and
+            # interleaving every run's length before repeating them all at
+            # once near 37 MiB
+            ((0.9, 0.6), 4_500_000, 10 * 2**20),
             # slowly mixing: little more than the sequence itself, which a
             # block spanning the whole sequence would double
             ((0.002, 0.003), 2_700_800, 2_700_800 + 512 * 2**10),
@@ -319,6 +324,61 @@ class TestSimulateChainOracle:
         # a sojourn of ~1e7 slots is never expanded past the 1000 slots asked
         # for; drawing every run before cutting grew with 1 / alpha (58 MiB)
         assert _traced_peak(ChannelParams(*pair), 1000, 3, initial) < 2**20
+
+
+    def test_long_pairs_written_by_slice(self):
+        # pairs of 2e6 slots on average: one-pair blocks, whose runs were
+        # repeated into a temporary before their copy, 1.8 B a slot
+        params, length = ChannelParams(1e-6, 1e-6), 4_500_000
+        assert _traced_peak(params, length, 3) <= 1.1 * length
+        expected, _ = _reference_chain(params, length, 3)
+        assert np.array_equal(simulate_chain(params, length, 3), expected)
+
+    @pytest.mark.parametrize("alpha", [1e-300, 5e-324])
+    @pytest.mark.parametrize("initial", [None, OCCUPIED, IDLE])
+    def test_tiny_exit_probability(self, alpha, initial):
+        # geometric draws near 2**63 are clipped at the slots still to fill,
+        # so their sums never overflow; the occupied state then never ends
+        sequence = simulate_chain(ChannelParams(alpha, 0.909), 10_000, 5, initial)
+        assert sequence.shape == (10_000,)
+        occupied = np.flatnonzero(sequence == OCCUPIED)
+        assert len(occupied) > 0 and occupied[0] < 100
+        assert (sequence[occupied[0] :] == OCCUPIED).all()
+
+
+class TestRunBlocks:
+    @pytest.mark.parametrize("block_slots", [2**16, math.inf])
+    @pytest.mark.parametrize("pair, length, seed, initial", _ORACLE_CASES[::3])
+    def test_blocks_repeat_to_the_sequence(
+        self, pair, length, seed, initial, block_slots
+    ):
+        params = ChannelParams(*pair)
+        expected = simulate_chain(params, length, seed, initial)
+        pieces = []
+        for states, lens in run_blocks(params, length, seed, initial, block_slots):
+            assert len(states) == len(lens) <= 2**16
+            assert states[0] == expected[0]
+            assert (states[1:] != states[:-1]).all()
+            pieces.append(np.repeat(states, lens))
+        assert np.array_equal(np.concatenate(pieces), expected)
+
+    def test_arguments_checked_on_the_call(self):
+        with pytest.raises(DegenerateParametersError):
+            run_blocks(ChannelParams(0.0, 0.0), 10, seed=0)
+        with pytest.raises(ValueError):
+            run_blocks(ChannelParams(0.5, 0.5), 0, seed=0)
+
+    @pytest.mark.parametrize(
+        "p, size, dtype",
+        [(0.9, 100_000, np.uint8), (0.001, 70_000, np.uint16), (1e-300, 3, np.uint16)],
+    )
+    def test_first_sojourns_kept_narrow(self, p, size, dtype):
+        # drawn in blocks, clipped at the cap and widened only when a block
+        # needs it: the values of one clipped draw in the narrowest dtype
+        kept = _kept_geometric(np.random.default_rng(4), p, size, cap=50_000)
+        once = np.minimum(np.random.default_rng(4).geometric(p, size=size), 50_000)
+        assert kept.dtype == dtype == np.min_scalar_type(once.max())
+        assert np.array_equal(kept, once)
 
 
 class TestRankChannels:

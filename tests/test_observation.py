@@ -10,14 +10,16 @@ import pytest
 
 from chan_em import (
     ChannelParams,
+    GapHistogram,
     InsufficientDataError,
     ObservationSchedule,
     ObservedDataset,
     count_statistics,
     observe,
+    run_blocks,
     simulate_chain,
 )
-from chan_em.observation import write_slot_states
+from chan_em.observation import _BLOCK, _RunCursor, write_slot_states
 
 
 class TestSchedule:
@@ -74,6 +76,106 @@ class TestSchedule:
         sched = ObservationSchedule(kind="random-uniform", support=(1, 2))
         with pytest.raises(ValueError):
             sched.times_for_count(3)
+
+
+class TestScheduleDraw:
+    @pytest.mark.parametrize("gaps", [1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 7])
+    @pytest.mark.parametrize(
+        "support, dtype",
+        [((1, 2, 3, 4, 5, 6), np.uint8), (tuple(range(1, 301)), np.uint16)],
+    )
+    def test_picks_drawn_in_blocks_equal_one_draw(self, gaps, support, dtype):
+        draw = ObservationSchedule.random_uniform(support, seed=8).draw(gaps)
+        picks = np.random.default_rng(8).integers(0, len(support), size=gaps)
+        steps = np.concatenate(([1], np.add(support, 1)[picks]))
+        assert draw.picks.dtype == dtype
+        assert np.array_equal(draw.picks, picks)
+        times = draw.times()
+        assert times.dtype == np.int64 and np.array_equal(times, np.cumsum(steps))
+        assert draw.last_slot == times[-1]
+        blocks = list(draw.step_blocks())
+        assert all(b.dtype == np.int64 and len(b) <= _BLOCK for b in blocks)
+        assert np.array_equal(np.concatenate(blocks), steps[1:])
+
+    def test_fixed_draw_holds_no_picks(self):
+        draw = ObservationSchedule.fixed(10**7).draw(3)
+        assert draw.picks is None and draw.last_slot == 1 + 3 * (10**7 + 1)
+        assert draw.times().tolist() == [1 + k * (10**7 + 1) for k in range(4)]
+
+    @pytest.mark.parametrize("draw", ["integers", "geometric"])
+    def test_consecutive_draws_equal_one_draw(self, draw):
+        # what drawing the schedule and the chain in blocks relies on, on the
+        # numpy installed: the stream does not depend on how it is split
+        args = {"integers": (0, 6), "geometric": (0.3,)}[draw]
+        sizes = [1, 7, 1000, 3, 65536, 2]
+        once = getattr(np.random.default_rng(6), draw)(*args, size=sum(sizes))
+        rng = np.random.default_rng(6)
+        split = np.concatenate([getattr(rng, draw)(*args, size=n) for n in sizes])
+        assert np.array_equal(split, once)
+
+
+class TestGapHistogram:
+    @staticmethod
+    def observe_both(params, schedule, count, seed):
+        draw = schedule.draw(count - 1)
+        sequence = simulate_chain(params, draw.last_slot, seed)
+        dataset = ObservedDataset.sample(sequence, draw.times())
+        return dataset, GapHistogram.observe(
+            run_blocks(params, draw.last_slot, seed, block_slots=np.inf), draw
+        )
+
+    def assert_same(self, dataset, histogram):
+        for got, want in zip(histogram.gap_histogram, dataset.gap_histogram):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        for name in ("num_observations", "num_transitions", "num_occupied"):
+            assert getattr(histogram, name) == getattr(dataset, name)
+        assert histogram.occupied_fraction == float(np.mean(dataset.states == 0))
+
+    @pytest.mark.parametrize(
+        "schedule",
+        [
+            ObservationSchedule.fixed(0),
+            ObservationSchedule.fixed(9),
+            ObservationSchedule.random_uniform((1, 2, 3), seed=1),
+            ObservationSchedule.random_uniform((40, 3, 900), seed=2),
+        ],
+    )
+    @pytest.mark.parametrize("pair", [(0.9, 0.6), (0.02, 0.01), (1e-5, 0.5)])
+    def test_equals_the_materialized_histogram(self, schedule, pair):
+        self.assert_same(*self.observe_both(ChannelParams(*pair), schedule, 3000, 4))
+
+    def test_needs_two_observations(self):
+        draw = ObservationSchedule.fixed(1).draw(0)
+        with pytest.raises(InsufficientDataError):
+            GapHistogram.observe(run_blocks(ChannelParams(0.5, 0.5), 1, 0), draw)
+
+    def test_frozen(self):
+        _, histogram = self.observe_both(
+            ChannelParams(0.5, 0.5), ObservationSchedule.fixed(1), 10, 0
+        )
+        with pytest.raises(AttributeError):
+            histogram.num_occupied = 0
+
+
+class TestRunCursor:
+    BLOCKS = [
+        (np.array([0, 1, 0], dtype=np.int8), np.array([2, 3, 1])),  # slots 0-5
+        (np.array([1], dtype=np.int8), np.array([4])),  # 6-9
+        (np.array([0, 1], dtype=np.int8), np.array([100, 1])),  # 10-110
+    ]
+
+    def test_reads_block_edges_by_both_paths(self):
+        sequence = np.concatenate([np.repeat(s, n) for s, n in self.BLOCKS])
+        # every slot, a dense call, then slots on and next to block edges,
+        # sparse calls that read run ends; the last slot ends the chain
+        for calls in (
+            [np.arange(111)],
+            [np.array([0, 5, 6]), np.array([9, 10]), np.array([109, 110])],
+            [np.array([0]), np.array([6, 110])],
+        ):
+            cursor = _RunCursor(iter(self.BLOCKS))
+            got = np.concatenate([cursor.states_at(slots) for slots in calls])
+            assert np.array_equal(got, sequence[np.concatenate(calls)])
 
 
 class TestObserve:
