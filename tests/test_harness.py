@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import sys
 import tracemalloc
 import weakref
@@ -18,6 +19,7 @@ from chan_em import (
     ObservedDataset,
     multi_start,
     relative_error,
+    run_blocks,
     run_em,
     utilization,
 )
@@ -482,10 +484,24 @@ class TestRealizeHistogram:
         )
         self.assert_streams_the_dataset(truth, ObservationSchedule.fixed(0), count, 10)
 
+    def test_chain_ending_on_a_block_edge(self):
+        # at this seed and count the first round's first run block, 2**15
+        # full pairs, ends exactly on the chain's last slot, which skip 0
+        # observes: the block is used whole and no second block is drawn
+        truth, count = ChannelParams(0.9, 0.6), 91_079
+        blocks = [
+            len(lens)
+            for _, lens in run_blocks(
+                truth, count, derive_seed(1, 0), block_slots=math.inf
+            )
+        ]
+        assert blocks == [2**16]
+        self.assert_streams_the_dataset(truth, ObservationSchedule.fixed(0), count, 1)
+
     def test_fit_path_memory(self):
         # fig5's fastest channel at paper scale: the schedule's picks, the
-        # kept first-state sojourns and one block of each stage; times,
-        # states, the slot sequence and one key per gap held near 41 MiB
+        # kept first-state sojourns and one block of each stage (5.7 MiB);
+        # times, states, the sequence and one key per gap traced 24.9 MiB
         schedule = ObservationSchedule.random_uniform((1, 2, 3, 4, 5, 6))
         np.random.default_rng(0)  # numpy imports np.random on first use: not traced
         tracemalloc.start()
