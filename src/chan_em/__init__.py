@@ -56,17 +56,14 @@ from chan_em.markov import (
     OCCUPIED,
     ChannelParams,
     rank_channels,
-    run_blocks,
     simulate_chain,
     transition_matrix,
     utilization,
 )
 from chan_em.observation import (
     GapData,
-    GapHistogram,
     ObservationSchedule,
     ObservedDataset,
-    ScheduleDraw,
     observe,
 )
 
@@ -85,7 +82,6 @@ __all__ = [
     "EnumerationLimitError",
     "EstimateReport",
     "GapData",
-    "GapHistogram",
     "IDLE",
     "InsufficientDataError",
     "MAX_ENUMERATION_HIDDEN",
@@ -94,7 +90,6 @@ __all__ = [
     "ObservationSchedule",
     "ObservedDataset",
     "SE_FLOOR_DB",
-    "ScheduleDraw",
     "SufficientStats",
     "TrajectoryStep",
     "ZeroProbabilityError",
@@ -114,7 +109,6 @@ __all__ = [
     "n_step_matrix",
     "observe",
     "rank_channels",
-    "run_blocks",
     "relative_error",
     "run_em",
     "score_against_truth",

@@ -19,7 +19,6 @@ from chan_em import (
     ObservedDataset,
     multi_start,
     relative_error,
-    run_blocks,
     run_em,
     utilization,
 )
@@ -43,6 +42,7 @@ from chan_em.harness import (
 from chan_em.harness import experiments
 from chan_em.harness.cli import main
 from chan_em.harness.presets import PRESET_NAMES
+from chan_em.markov import run_blocks
 from chan_em.observation import ObservationSchedule
 
 

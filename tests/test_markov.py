@@ -14,12 +14,11 @@ from chan_em import (
     IDLE,
     OCCUPIED,
     rank_channels,
-    run_blocks,
     simulate_chain,
     transition_matrix,
     utilization,
 )
-from chan_em.markov import _kept_geometric
+from chan_em.markov import _kept_geometric, run_blocks
 
 
 def run_lengths(sequence: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

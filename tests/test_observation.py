@@ -10,16 +10,20 @@ import pytest
 
 from chan_em import (
     ChannelParams,
-    GapHistogram,
     InsufficientDataError,
     ObservationSchedule,
     ObservedDataset,
     count_statistics,
     observe,
-    run_blocks,
     simulate_chain,
 )
-from chan_em.observation import _BLOCK, _RunCursor, write_slot_states
+from chan_em.markov import run_blocks
+from chan_em.observation import (
+    _BLOCK,
+    GapHistogram,
+    _RunCursor,
+    write_slot_states,
+)
 
 
 class TestSchedule:
@@ -149,6 +153,13 @@ class TestGapHistogram:
         with pytest.raises(InsufficientDataError):
             GapHistogram.observe(run_blocks(ChannelParams(0.5, 0.5), 1, 0), draw)
 
+    def test_runs_shorter_than_the_draw(self):
+        params = ChannelParams(0.5, 0.5)
+        draw = ObservationSchedule.fixed(2).draw(50)
+        runs = run_blocks(params, draw.last_slot - 1, 0, block_slots=np.inf)
+        with pytest.raises(ValueError, match="runs end at slot"):
+            GapHistogram.observe(runs, draw)
+
     def test_frozen(self):
         _, histogram = self.observe_both(
             ChannelParams(0.5, 0.5), ObservationSchedule.fixed(1), 10, 0
@@ -176,6 +187,21 @@ class TestRunCursor:
             cursor = _RunCursor(iter(self.BLOCKS))
             got = np.concatenate([cursor.states_at(slots) for slots in calls])
             assert np.array_equal(got, sequence[np.concatenate(calls)])
+
+    def test_expands_only_densely_observed_blocks(self):
+        cursor = _RunCursor(iter(self.BLOCKS))
+        cursor.states_at(np.array([0, 2, 4]))  # 6 slots, 3 observed
+        assert cursor._expanded is not None and cursor._ends is None
+        cursor.states_at(np.array([7, 8]))  # 4 slots, 2 observed
+        assert cursor._expanded is not None
+        cursor.states_at(np.array([50, 110]))  # 101 slots, 2 observed
+        assert cursor._expanded is None and cursor._ends is not None
+
+    def test_past_the_last_block(self):
+        cursor = _RunCursor(iter(self.BLOCKS))
+        assert cursor.states_at(np.array([110]))[0] == 1
+        with pytest.raises(ValueError, match="runs end at slot 111"):
+            cursor.states_at(np.array([111]))
 
 
 class TestObserve:
