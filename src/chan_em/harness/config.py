@@ -24,8 +24,8 @@ from chan_em.observation import ObservationSchedule
 Parser = Callable[[Any, str], Any]  # (JSON value, where it sits) -> typed value
 
 # Worst-case budget of one run (README "Config file schema"): simulated slots over
-# all channels (a fit holds under 1 B a slot; simulate about 2 B a slot plus 19.5 B
-# an observation), and gap-kernel signature evaluations (4 signatures x
+# all channels (every command, simulate too, holds under 1 B a slot: the sampler's
+# kept sojourns), and gap-kernel signature evaluations (4 signatures x
 # (100 starts x 100 001 calls + a 1001² grid))
 MAX_SIMULATED_SLOTS = 50_000_000
 MAX_KERNEL_WORK = 4 * (100 * 100_001 + 1001**2)

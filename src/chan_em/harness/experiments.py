@@ -3,21 +3,23 @@
 Every experiment realizes its data from the config's master seed through
 fixed derivation paths (one stream per purpose and channel), so rerunning
 any command with the same resolved config writes byte-identical files.
-The fitting commands realize each channel straight into its gap histogram
-(realize_histogram), which is all a fit reads; simulate writes every slot
-and observation, so it materializes them (realize_dataset) from the same
-draws.
+Every command realizes its channels from the same draws (realize_runs).
+The fitting commands read them straight into each channel's gap histogram
+(realize_histogram), which is all a fit reads; simulate writes its files
+from them as it reads that histogram, block by block, so neither holds an
+array as long as the chain or the observation count.
 Output files carry a metadata block naming the tool version, the command,
 the config hash, and the master seed.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import math
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Any, Iterable, Iterator
 
 import numpy as np
 
@@ -46,7 +48,8 @@ from chan_em.observation import (
     GapHistogram,
     ObservationSchedule,
     ObservedDataset,
-    write_slot_states,
+    ScheduleDraw,
+    open_slot_states,
 )
 
 # seed-derivation stream tags (second entry of the SeedSequence path)
@@ -74,11 +77,11 @@ def realize_dataset(
     master_seed: int,
     channel_index: int = 0,
 ) -> tuple[ObservedDataset, np.ndarray]:
-    """Simulate one channel and observe it on the schedule.
+    """Simulate one channel and observe it on the schedule, all of it held.
 
-    Returns (dataset, full sequence). The chain seed and the schedule seed
-    are derived independently from the master seed and the channel index.
-    Every slot and every observation is held; fits use realize_histogram.
+    Returns (dataset, full sequence), from the same draws as realize_runs.
+    No command calls it: it is the materialized oracle that tests and the
+    benchmark's checks compare the streamed paths with.
     """
     schedule = _with_seed(
         schedule, derive_seed(master_seed, _STREAM_SCHEDULE, channel_index)
@@ -91,6 +94,28 @@ def realize_dataset(
     return ObservedDataset.sample(sequence, times), sequence
 
 
+def realize_runs(
+    truth: ChannelParams,
+    schedule: ObservationSchedule,
+    num_observations: int,
+    master_seed: int,
+    channel_index: int = 0,
+    **blocks: float,
+) -> tuple[Iterator[tuple[np.ndarray, np.ndarray]], ScheduleDraw]:
+    """One channel's chain, as run_blocks(..., **blocks), and its schedule's draw.
+
+    The chain seed and the schedule seed are derived independently from the
+    master seed and the channel index; the chain ends at the draw's last
+    slot. Every argument is checked on this call, before any block is drawn.
+    """
+    schedule = _with_seed(
+        schedule, derive_seed(master_seed, _STREAM_SCHEDULE, channel_index)
+    )
+    draw = schedule.draw(num_observations - 1)
+    chain_seed = derive_seed(master_seed, _STREAM_CHAIN, channel_index)
+    return run_blocks(truth, draw.last_slot, chain_seed, **blocks), draw
+
+
 def realize_histogram(
     truth: ChannelParams,
     schedule: ObservationSchedule,
@@ -98,23 +123,18 @@ def realize_histogram(
     master_seed: int,
     channel_index: int = 0,
 ) -> GapHistogram:
-    """realize_dataset's channel, straight into its gap histogram.
+    """realize_runs' channel, straight into its gap histogram.
 
-    The same draws, so the same histogram and counts as
-    realize_dataset(...)[0], but no slot sequence, slot index or observed
-    state is held: memory is the schedule's picks (1 B an observation for
-    up to 256 support entries), the sampler's kept first-state sojourns
-    (1 B each at fig5's truths) and one block of each stage.
+    The same histogram and counts as realize_dataset(...)[0], but no slot
+    sequence, slot index or observed state is held: memory is the
+    schedule's picks (1 B an observation for up to 256 support entries),
+    the sampler's kept first-state sojourns (1 B each at fig5's truths) and
+    one block of each stage.
     """
-    schedule = _with_seed(
-        schedule, derive_seed(master_seed, _STREAM_SCHEDULE, channel_index)
-    )
-    draw = schedule.draw(num_observations - 1)
-    chain_seed = derive_seed(master_seed, _STREAM_CHAIN, channel_index)
     # no slot bound on the blocks: GapHistogram.observe expands runs only
     # where they are observed densely
-    runs = run_blocks(truth, draw.last_slot, chain_seed, block_slots=math.inf)
-    return GapHistogram.observe(runs, draw)
+    args = (truth, schedule, num_observations, master_seed, channel_index)
+    return GapHistogram.observe(*realize_runs(*args, block_slots=math.inf))
 
 
 def _channel_dataset(config: ExperimentConfig, index: int = 0) -> GapHistogram:
@@ -183,27 +203,36 @@ def _ensure_recording(config: ExperimentConfig) -> ExperimentConfig:
 
 
 def cmd_simulate(config: ExperimentConfig, resolved: dict) -> list[Path]:
-    """Realize the (single) channel and write the observed dataset CSV."""
-    truth = config.single_channel()
-    dataset, sequence = realize_dataset(
-        truth, config.schedule, config.observed_slots, config.master_seed
+    """Realize the (single) channel and write the observed dataset CSV.
+
+    The files are written as the chain's run blocks, of about 2**16 slots,
+    are read; realize_runs raises before the output directory is made.
+    """
+    runs, draw = realize_runs(
+        config.single_channel(),
+        config.schedule,
+        config.observed_slots,
+        config.master_seed,
     )
     out = _out_dir(config)
     meta = _meta(config, resolved, "simulate")
     written = [out / "observed.csv"]
-    dataset.save(written[0], meta={**meta, "total_slots": int(dataset.times[-1])})
-    if config.write_sequence:
-        seq_path = out / "sequence.csv"
-        write_slot_states(seq_path, None, sequence, meta)  # slots 1..len(sequence)
-        written.append(seq_path)
+    with contextlib.ExitStack() as files:
+        observed = {**meta, "total_slots": draw.last_slot}
+        rows = files.enter_context(open_slot_states(written[0], observed))
+        sequence = None
+        if config.write_sequence:
+            written.append(out / "sequence.csv")  # slots 1..draw.last_slot
+            sequence = files.enter_context(open_slot_states(written[1], meta))
+        histogram = GapHistogram.observe(runs, draw, rows, sequence)
     # gap_histogram holds at most four (start, end) rows per hidden length
-    signatures, counts = dataset.gap_histogram
+    signatures, counts = histogram.gap_histogram
     hist: dict[int, int] = {}
     for hidden, count in zip(signatures[:, 2].tolist(), counts.tolist()):
         hist[hidden] = hist.get(hidden, 0) + count
     print(
-        f"simulate: {dataset.num_observations} observations over "
-        f"{int(dataset.times[-1])} slots, hidden-length histogram "
+        f"simulate: {histogram.num_observations} observations over "
+        f"{draw.last_slot} slots, hidden-length histogram "
         f"{json.dumps(hist, sort_keys=True)}"
     )
     return written

@@ -8,9 +8,10 @@ from a gap, so datasets precompute a histogram of those signatures, and
 cache the gap kernel's plan built from it. A fit needs nothing else, so
 GapHistogram holds just that histogram and a few counts, and builds it
 block by block from a chain's runs and a schedule's draw, with no
-per-slot or per-observation array. ObservedDataset keeps every observed
-slot and state. The `slot_index,state` CSV of observed and full sequences
-is written and read only here.
+per-slot or per-observation array, and can write the observed rows and
+every slot's row as it goes. ObservedDataset keeps every observed slot and
+state. The `slot_index,state` CSV of observed and full sequences is
+written and read only here.
 """
 
 from __future__ import annotations
@@ -310,7 +311,11 @@ class GapHistogram(GapData):
 
     @classmethod
     def observe(
-        cls, runs: Iterable[tuple[np.ndarray, np.ndarray]], draw: ScheduleDraw
+        cls,
+        runs: Iterable[tuple[np.ndarray, np.ndarray]],
+        draw: ScheduleDraw,
+        rows: BinaryIO | None = None,
+        sequence: BinaryIO | None = None,
     ) -> GapHistogram:
         """The histogram of a chain seen at the slots of a schedule draw.
 
@@ -321,12 +326,16 @@ class GapHistogram(GapData):
         counted by _count_keys, the reduction ObservedDataset.gap_histogram
         runs on its whole arrays. Memory is one block of each, and of the
         runs; the occupied count is read off the histogram's end states.
+        With `rows`, the observations' `slot_index,state` rows are written
+        there as they are read; with `sequence`, every slot's row, from the
+        one expansion of each run block that the cursor reads (_SlotRows),
+        so the runs must then end at `draw.last_slot`.
         """
         if draw.gaps < 1:
             raise InsufficientDataError("need at least 2 observations")
-        chain = _RunCursor(runs)
+        chain = _RunCursor(runs, None if sequence is None else _SlotRows(sequence))
         first = int(chain.states_at(np.zeros(1, dtype=np.int64))[0])
-        signatures, counts = _count_keys(_observed_keys(chain, draw, first))
+        signatures, counts = _count_keys(_observed_keys(chain, draw, first, rows))
         ends_occupied = int(counts[signatures[:, 1] == OCCUPIED].sum())
         return cls(
             signatures=signatures,
@@ -348,11 +357,17 @@ class _RunCursor:
     where the two cost the same per observed slot at (0.4, 0.1) and
     (0.9, 0.6): expanding is 5-8x the faster at 1 slot an observation and
     2-4x at 4, searching 1.6-2.1x the faster at 64 (2-vCPU x86-64,
-    numpy 2.4).
+    numpy 2.4). A `sink` is handed every block as it is taken, and decides
+    alone which blocks are expanded: it returns their expansions.
     """
 
-    def __init__(self, runs: Iterable[tuple[np.ndarray, np.ndarray]]) -> None:
+    def __init__(
+        self,
+        runs: Iterable[tuple[np.ndarray, np.ndarray]],
+        sink: _SlotRows | None = None,
+    ) -> None:
         self._runs = iter(runs)
+        self._sink = sink
         self._start = self._stop = 0  # slots of the current block
         self._states = np.zeros(0, dtype=np.int8)  # its runs, valid until
         self._lens = np.zeros(0, dtype=np.int64)  # the next block is taken
@@ -376,12 +391,13 @@ class _RunCursor:
                 self._states, self._lens = block
                 self._start = self._stop
                 self._stop += int(self._lens.sum())
-                self._expanded = self._ends = None
+                self._ends = None
+                self._expanded = None if self._sink is None else self._sink.runs(*block)
                 continue
             stop = int(np.searchsorted(slots, self._stop))
             offsets = slots[done:stop] - self._start
-            if self._expanded is None and self._stop - self._start <= _DENSE * (
-                stop - done
+            if self._expanded is None and self._sink is None and (
+                self._stop - self._start <= _DENSE * (stop - done)
             ):
                 self._expanded = np.repeat(self._states, self._lens)
             if self._expanded is not None:
@@ -396,11 +412,14 @@ class _RunCursor:
 
 
 def _observed_keys(
-    chain: _RunCursor, draw: ScheduleDraw, first: int
+    chain: _RunCursor, draw: ScheduleDraw, first: int, rows: BinaryIO | None
 ) -> Iterator[np.ndarray]:
-    """Each block's gap keys, reading the chain at the draw's slots."""
+    """Each block's gap keys, reading the chain at the draw's slots; with
+    `rows`, the block's observations' rows are written there first."""
     states = np.empty(_BLOCK + 1, dtype=np.int8)
     states[0] = first
+    if rows is not None:
+        _write_rows(rows, np.ones(1, dtype=np.int64), states[:1])
     slot = 0  # 0-based slot of the block's preceding observation
     for steps in draw.step_blocks():
         k = len(steps)
@@ -408,6 +427,9 @@ def _observed_keys(
         slots += slot
         states[1 : k + 1] = chain.states_at(slots)
         slot = int(slots[-1])
+        if rows is not None:
+            slots += 1  # 1-based
+            _write_rows(rows, slots, states[1 : k + 1])
         yield _gap_keys(steps, states[: k + 1])
         states[0] = states[k]
 
@@ -478,9 +500,9 @@ def write_slot_states(
     uint8 array, for indices of d digits (the digits, `,`, the state, `\n`),
     and written as bytes. Explicit `times` go out in blocks of _WRITE_BLOCK
     rows (_write_rows). `times=None` means slots 1..len(states), written in
-    aligned spans that need no index array (_write_implicit_rows). Both
-    arrays must have an integer or bool dtype, slot indices must lie in
-    [0, 2**61] (ObservedDataset's cap) and states be single digits.
+    aligned spans that need no index array (_SlotRows). Both arrays must
+    have an integer or bool dtype, slot indices must lie in [0, 2**61]
+    (ObservedDataset's cap) and states be single digits.
     """
     states = np.asarray(states)
     if times is not None:
@@ -498,13 +520,19 @@ def write_slot_states(
         largest = int(times.max())
         if largest > _MAX_SLOT:
             raise ValueError(f"slot indices must not exceed 2**61, got {largest}")
-    head = "".join(f"# {key}: {value}\n" for key, value in (meta or {}).items())
-    with Path(path).open("wb") as fh:
-        fh.write((head + "slot_index,state\n").encode())
+    with open_slot_states(path, meta) as fh:
         if times is None:
-            _write_implicit_rows(fh, states)
+            _SlotRows(fh).write(states)
         else:
             _write_rows(fh, times, states)
+
+
+def open_slot_states(path: str | Path, meta: dict | None = None) -> BinaryIO:
+    """A new binary file for `slot_index,state` rows, its head written."""
+    head = "".join(f"# {key}: {value}\n" for key, value in (meta or {}).items())
+    fh = Path(path).open("wb")
+    fh.write((head + "slot_index,state\n").encode())
+    return fh
 
 
 def _write_rows(fh: BinaryIO, times: np.ndarray, states: np.ndarray) -> None:
@@ -519,39 +547,73 @@ def _write_rows(fh: BinaryIO, times: np.ndarray, states: np.ndarray) -> None:
             fh.write(_fill_rows(block[lo:hi], states[start + lo : start + hi], width))
 
 
-def _write_implicit_rows(fh: BinaryIO, states: np.ndarray) -> None:
-    """Write the rows of slots 1..len(states).
+class _SlotRows:
+    """Writes the rows of slots 1, 2, ... from consecutive pieces of states.
 
-    Slots 1..9 999 go through _write_rows. Slots from 10**4 on go out in
-    spans aligned at multiples of _SPAN (the first span starts at 10**4).
-    Every slot in a span has the same digit count d, and its low five digits
-    are its row in the span. So one (_SPAN, d + 3) buffer per digit count
-    gets those digits, `,` and `\n` once; each span then rewrites only its
-    d - 5 prefix columns, with one scalar fill each (a 2-d broadcast fill is
-    about ten times slower), and its state column, and is written in one
-    call of about 1 MB.
+    Slots 1..9 999 go through _write_rows. Slots from 10**4 on lie in spans
+    aligned at multiples of _SPAN (the first span starts at 10**4). Every
+    slot in a span has the same digit count d, and its low five digits are
+    its row in the span. So one (_SPAN, d + 3) buffer per digit count gets
+    those digits, `,` and `\n` once; each span then rewrites only its d - 5
+    prefix columns, with one scalar fill each (a 2-d broadcast fill is about
+    ten times slower), and each piece of it its state column, and is written
+    in one call of up to about 1 MB.
     """
-    count = len(states)
-    head = min(count, _SPAN // 10 - 1)
-    _write_rows(fh, np.arange(1, head + 1), states[:head])
-    rows = np.empty((0, 0), dtype=np.uint8)
-    for base in range(0, count + 1, _SPAN):
-        first, stop = max(base, _SPAN // 10), min(base + _SPAN, count + 1)
-        if first >= stop:  # no slot of five digits or more
-            break
-        digits = str(first)
+
+    def __init__(self, fh: BinaryIO) -> None:
+        self._fh = fh
+        self._slot = 1  # the next slot to write
+        self._base = -1  # the span whose prefix the buffer holds
+        self._rows = np.empty((0, 0), dtype=np.uint8)
+
+    def runs(self, states: np.ndarray, lens: np.ndarray) -> np.ndarray | None:
+        """Write a run block's rows and return its expansion, or None for a
+        block of one or two runs, which may be as long as the chain and is
+        written from a broadcast view instead."""
+        if len(lens) <= 2:
+            for state, run in zip(states, lens.tolist()):
+                self.write(np.broadcast_to(state, run))
+            return None
+        expanded = np.repeat(states, lens)
+        self.write(expanded)
+        return expanded
+
+    def write(self, states: np.ndarray) -> None:
+        """Write the rows of the next len(states) slots."""
+        start, end = self._slot, self._slot + len(states)
+        slot = start
+        while slot < end:
+            if slot < _SPAN // 10:  # slots of four digits or fewer
+                stop = min(end, _SPAN // 10)
+                piece = states[slot - start : stop - start]
+                _write_rows(self._fh, np.arange(slot, stop), piece)
+            else:
+                base = slot - slot % _SPAN
+                if base != self._base:
+                    self._enter_span(base)
+                stop = min(end, base + _SPAN)
+                piece = states[slot - start : stop - start]
+                # no view of the buffer is kept, so _enter_span can free it
+                rows = slice(slot - base, stop - base)
+                np.add(piece, ord("0"), out=self._rows[rows, -2], casting="unsafe")
+                self._fh.write(self._rows[rows])
+            slot = stop
+        self._slot = end
+
+    def _enter_span(self, base: int) -> None:
+        """Point the row buffer at the span of slots from `base` on."""
+        digits = str(max(base, _SPAN // 10))
         width = len(digits)
-        if rows.shape[1] != width + 3:
-            rows = np.empty((_SPAN, width + 3), dtype=np.uint8)
-            _fill_digits(rows[:, width - 5 : width], np.arange(_SPAN, dtype=np.uint32))
-            rows[:, width] = ord(",")
-            rows[:, width + 2] = ord("\n")
+        if self._rows.shape[1] != width + 3:
+            del self._rows  # freed before the wider buffer is made
+            self._rows = np.empty((_SPAN, width + 3), dtype=np.uint8)
+            low = self._rows[:, width - 5 : width]
+            _fill_digits(low, np.arange(_SPAN, dtype=np.uint32))
+            self._rows[:, width] = ord(",")
+            self._rows[:, width + 2] = ord("\n")
         for col, digit in enumerate(digits[:-5].encode()):
-            rows[:, col] = digit
-        span = rows[first - base : stop - base]
-        state = span[:, width + 1]
-        np.add(states[first - 1 : stop - 1], ord("0"), out=state, casting="unsafe")
-        fh.write(span)
+            self._rows[:, col] = digit
+        self._base = base
 
 
 def _width_runs(block: np.ndarray) -> list[tuple[int, int, int]]:

@@ -43,7 +43,7 @@ from chan_em.harness import experiments
 from chan_em.harness.cli import main
 from chan_em.harness.presets import PRESET_NAMES
 from chan_em.markov import run_blocks
-from chan_em.observation import ObservationSchedule
+from chan_em.observation import ObservationSchedule, write_slot_states
 
 
 def small_config(out_dir: Path, **overrides) -> dict:
@@ -599,6 +599,132 @@ class TestCmdSimulate:
         assert loaded.num_observations == 25
 
 
+class TestStreamedSimulate:
+    """cmd_simulate's streamed files and line against realize_dataset's arrays."""
+
+    @staticmethod
+    def assert_writes_the_dataset(tmp_path, capsys, write_sequence, **overrides):
+        resolved = small_config(
+            tmp_path / "out", write_sequence=write_sequence, **overrides
+        )
+        config = parse_config(resolved)
+        written = cmd_simulate(config, resolved)
+        printed = capsys.readouterr().out
+        dataset, sequence = realize_dataset(
+            config.single_channel(),
+            config.schedule,
+            config.observed_slots,
+            config.master_seed,
+        )
+        # the oracle writes explicit slot indices, not the streamed span writer
+        meta = experiments._meta(config, resolved, "simulate")
+        oracle = [tmp_path / "observed.csv"]
+        observed_meta = {**meta, "total_slots": len(sequence)}
+        write_slot_states(oracle[0], dataset.times, dataset.states, observed_meta)
+        if write_sequence:
+            oracle.append(tmp_path / "sequence.csv")
+            slots = np.arange(1, len(sequence) + 1)
+            write_slot_states(oracle[1], slots, sequence, meta)
+        assert [path.name for path in written] == [path.name for path in oracle]
+        for got, want in zip(written, oracle):
+            assert got.read_bytes() == want.read_bytes()
+        hist: Counter = Counter()
+        for (_, _, hidden), count in zip(*(a.tolist() for a in dataset.gap_histogram)):
+            hist[hidden] += count
+        assert printed == (
+            f"simulate: {dataset.num_observations} observations over "
+            f"{len(sequence)} slots, hidden-length histogram "
+            f"{json.dumps(hist, sort_keys=True)}\n"
+        )
+
+    # the sequence and the observations end on and next to the edges of the
+    # 9 999-slot head, of the 65 536-row blocks and of the 10**5-slot spans
+    @pytest.mark.parametrize(
+        "count", [2, 9_999, 10_000, 10_001, 65_537, 99_999, 100_000, 100_001]
+    )
+    @pytest.mark.parametrize("write_sequence", [True, False])
+    def test_skip_zero(self, tmp_path, capsys, count, write_sequence):
+        self.assert_writes_the_dataset(
+            tmp_path,
+            capsys,
+            write_sequence,
+            schedule={"kind": "fixed", "skip": 0},
+            observed_slots=count,
+        )
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            # runs longer than a span, in blocks of one pair
+            {"true_params": [{"alpha": 1e-6, "beta": 1e-6}], "observed_slots": 300_000},
+            {"true_params": [{"alpha": 1.0, "beta": 1.0}], "observed_slots": 30_000},
+            {"true_params": [{"alpha": 1e-300, "beta": 0.909}]},
+            # duplicate and unsorted support entries
+            {"schedule": {"kind": "random-uniform", "support": [5, 2, 2, 9, 1, 5]}},
+        ],
+        ids=["long-runs", "ones", "tiny-alpha", "duplicates"],
+    )
+    @pytest.mark.parametrize("write_sequence", [True, False])
+    def test_truths_and_schedules(self, tmp_path, capsys, overrides, write_sequence):
+        self.assert_writes_the_dataset(tmp_path, capsys, write_sequence, **overrides)
+
+    def test_run_block_ending_on_a_span_edge(self, tmp_path, capsys):
+        # at this seed the first round's blocks of three pairs end, one of
+        # them, on slot 99 999: the next block's rows start a span
+        truth, seed = {"alpha": 1e-4, "beta": 1e-4}, 141_048
+        runs = run_blocks(ChannelParams(1e-4, 1e-4), 300_001, derive_seed(seed, 0))
+        ends = np.cumsum([int(lens.sum()) for _, lens in runs])
+        assert 99_999 in ends.tolist()
+        self.assert_writes_the_dataset(
+            tmp_path,
+            capsys,
+            True,
+            true_params=[truth],
+            schedule={"kind": "fixed", "skip": 99},
+            observed_slots=3_001,
+            master_seed=seed,
+        )
+
+    @staticmethod
+    def traced_peak(tmp_path, **overrides) -> int:
+        resolved = small_config(tmp_path, write_sequence=True, **overrides)
+        config = parse_config(resolved)
+        # numpy imports np.random and np.ma (np.unique) on first use: not traced
+        np.random.default_rng(0)
+        np.unique(np.zeros(1))
+        tracemalloc.start()
+        try:
+            cmd_simulate(config, resolved)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return peak
+
+    def test_paper_fig3_memory(self, tmp_path, capsys):
+        # 1e6 observations over 5e6 slots, every slot written: the sampler's
+        # kept sojourns (1.1 MB), a span's rows and a block of each stage
+        # trace 5.3 MiB; the sequence, times and their copy traced 22.9 MiB
+        count = preset_config("paper-fig3", paper_scale=True)["observed_slots"]
+        assert self.traced_peak(tmp_path, observed_slots=count) < 8 * 2**20
+        assert "over 4999996 slots" in capsys.readouterr().out
+
+    def test_long_runs_memory(self, tmp_path, capsys):
+        # one block of two runs covers the whole chain of 4.5e6 slots, its
+        # longest run 4.0e6: written span by span, never expanded (2.5 MiB)
+        truth, seed = ChannelParams(1e-6, 1e-6), 6
+        blocks = list(run_blocks(truth, 4_499_901, derive_seed(seed, 0)))
+        assert len(blocks) == 1 and int(blocks[0][1].max()) > 4 * 10**6
+        peak = self.traced_peak(
+            tmp_path,
+            true_params=[{"alpha": 1e-6, "beta": 1e-6}],
+            schedule={"kind": "fixed", "skip": 99},
+            observed_slots=45_000,
+            master_seed=seed,
+        )
+        assert peak < 3 * 2**20
+        assert "over 4499901 slots" in capsys.readouterr().out
+
+
 @pytest.fixture(scope="module")
 def trajectory_outputs(tmp_path_factory):
     out = tmp_path_factory.mktemp("traj")
@@ -959,6 +1085,20 @@ class TestCli:
         assert "DegenerateParametersError" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "overrides, exit_code",
+        [
+            ({"true_params": [{"alpha": 0.0, "beta": 0.0}]}, 3),  # from run_blocks
+            ({"schedule": {"kind": "fixed", "skip": 10**6}}, 2),  # 2e8 slots
+        ],
+    )
+    def test_simulate_fails_before_any_file(
+        self, tmp_path, capsys, overrides, exit_code
+    ):
+        path = self.config_file(tmp_path, write_sequence=True, **overrides)
+        assert main(["simulate", "--config", str(path)]) == exit_code
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
         "command, exit_code",
         [
             ("trajectories", 3),
@@ -972,17 +1112,16 @@ class TestCli:
     def test_zero_truth_fails_before_realizing(
         self, tmp_path, capsys, monkeypatch, command, exit_code
     ):
-        # fits realize through realize_histogram, simulate through
-        # realize_dataset: every command realizes its channel through one
+        # every command realizes its channel through realize_runs, the fits
+        # by way of realize_histogram
         realized = []
-        for name in ("realize_histogram", "realize_dataset"):
-            real = getattr(experiments, name)
+        real = experiments.realize_runs
 
-            def counted(*args, real=real, **kwargs):
-                realized.append(args)
-                return real(*args, **kwargs)
+        def counted(*args, **kwargs):
+            realized.append(args)
+            return real(*args, **kwargs)
 
-            monkeypatch.setattr(experiments, name, counted)
+        monkeypatch.setattr(experiments, "realize_runs", counted)
         truths = [{"alpha": 0.3, "beta": 0.0}]
         if command in ("multichannel", "rank"):
             truths.insert(0, {"alpha": 0.8, "beta": 0.3})  # the zero is the second

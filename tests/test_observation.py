@@ -22,6 +22,8 @@ from chan_em.observation import (
     _BLOCK,
     GapHistogram,
     _RunCursor,
+    _SlotRows,
+    open_slot_states,
     write_slot_states,
 )
 
@@ -196,6 +198,32 @@ class TestRunCursor:
         assert cursor._expanded is not None
         cursor.states_at(np.array([50, 110]))  # 101 slots, 2 observed
         assert cursor._expanded is None and cursor._ends is not None
+
+    def test_sink_expands_each_block_once(self, tmp_path):
+        # the sink gets every block, in order, even one no slot falls in, and
+        # the cursor reads the sink's expansion, never one of its own; a block
+        # of one or two runs is not expanded
+        sequence = np.concatenate([np.repeat(s, n) for s, n in self.BLOCKS])
+        taken = []
+
+        class Sink(_SlotRows):
+            def runs(self, states, lens):
+                expanded = super().runs(states, lens)
+                taken.append((len(lens), expanded))
+                return expanded
+
+        with open_slot_states(tmp_path / "rows.csv") as fh:
+            cursor = _RunCursor(iter(self.BLOCKS), Sink(fh))
+            got = [cursor.states_at(np.arange(6))]
+            assert cursor._expanded is taken[0][1]
+            got.append(cursor.states_at(np.array([10, 11, 12, 110])))
+            assert cursor._expanded is None and cursor._ends is not None
+        assert [(n, e is None) for n, e in taken] == [(3, False), (1, True), (2, True)]
+        read = [*range(6), 10, 11, 12, 110]
+        assert np.array_equal(np.concatenate(got), sequence[read])
+        write_slot_states(tmp_path / "whole.csv", None, sequence)
+        whole = (tmp_path / "whole.csv").read_bytes()
+        assert (tmp_path / "rows.csv").read_bytes() == whole
 
     def test_past_the_last_block(self):
         cursor = _RunCursor(iter(self.BLOCKS))
@@ -593,6 +621,48 @@ class TestWriteSlotStates:
         implicit = (tmp_path / "implicit.csv").read_bytes()
         assert implicit == (tmp_path / "explicit.csv").read_bytes()
         assert implicit == _rendered(np.arange(1, n + 1), states, meta)
+
+    # pieces that end on the head's last slot (9 999), on a span's last slot
+    # (99 999, 199 999), just past a span's first (100 001), inside spans,
+    # and one piece across a span and a width change (999 990 -> 1 000 010)
+    @pytest.mark.parametrize(
+        "cuts",
+        [
+            [9_999, 99_999, 100_001, 150_000, 199_999],
+            [1, 2, 70_000, 999_990],
+            [5_000, 12_345, 1_000_001],
+        ],
+    )
+    def test_slot_rows_in_pieces_equal_one_write(self, tmp_path, cuts):
+        n = 1_000_010
+        states = np.random.default_rng(7).integers(0, 2, size=n).astype(np.int8)
+        bounds = [0, *cuts, n]
+        with open_slot_states(tmp_path / "pieces.csv", {"tool": "chan-em"}) as fh:
+            rows = _SlotRows(fh)
+            for lo, hi in zip(bounds[:-1], bounds[1:]):
+                rows.write(states[lo:hi])
+        write_slot_states(tmp_path / "whole.csv", None, states, {"tool": "chan-em"})
+        pieces = (tmp_path / "pieces.csv").read_bytes()
+        assert pieces == (tmp_path / "whole.csv").read_bytes()
+        assert pieces == _rendered(np.arange(1, n + 1), states, {"tool": "chan-em"})
+
+    def test_slot_rows_write_long_runs_unexpanded(self, tmp_path):
+        # two runs, from the head through three digit counts, written span by
+        # span from broadcast views
+        lens = np.array([3_200_000, 300_000])
+        states = np.array([1, 0], dtype=np.int8)
+        np.random.default_rng(0)  # numpy imports np.random on first use: not traced
+        with open_slot_states(tmp_path / "runs.csv") as fh:
+            tracemalloc.start()
+            try:
+                assert _SlotRows(fh).runs(states, lens) is None
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert peak < 2.5 * 2**20  # a span's rows and digits; the run is 3.05 MiB
+        write_slot_states(tmp_path / "whole.csv", None, np.repeat(states, lens))
+        whole = (tmp_path / "whole.csv").read_bytes()
+        assert (tmp_path / "runs.csv").read_bytes() == whole
 
     def test_implicit_times_peak_allocation_is_per_block(self, tmp_path):
         states = np.zeros(1_000_000, dtype=np.int8)
