@@ -5,6 +5,8 @@ from __future__ import annotations
 import io
 import json
 import math
+import os
+import subprocess
 import sys
 import tracemalloc
 import weakref
@@ -43,7 +45,7 @@ from chan_em.harness import experiments
 from chan_em.harness.cli import main
 from chan_em.harness.presets import PRESET_NAMES
 from chan_em.markov import run_blocks
-from chan_em.observation import ObservationSchedule, write_slot_states
+from chan_em.observation import ObservationSchedule, _write_rows, open_slot_states
 
 
 def small_config(out_dir: Path, **overrides) -> dict:
@@ -461,6 +463,8 @@ class TestRealizeHistogram:
             # observation counts on and just past the histogram's block edges
             (ObservationSchedule.fixed(1), 2**16),
             (ObservationSchedule.fixed(1), 2**16 + 1),
+            # a last block of one gap: its sparse key is merged in
+            (ObservationSchedule.fixed(1), 2**16 + 2),
             (ObservationSchedule.random_uniform((1, 2, 3)), 2 * 2**16),
             (ObservationSchedule.random_uniform((1, 2, 3)), 2 * 2**16 + 1),
         ],
@@ -525,6 +529,30 @@ class TestRealizeHistogram:
             tracemalloc.stop()
         assert set(histogram.signatures[:, 2].tolist()) == {10**7}
         assert peak < 4 * 2**20
+
+    def test_merging_blocks_imports_no_numpy_ma(self):
+        # 69 999 gaps make two blocks, merged once; a bare np.unique (as in
+        # np.union1d) imports numpy.ma on numpy 2.x, 14-26 ms once per
+        # process, while numpy 1.x imports it with numpy: so compare the
+        # modules before and after the call, in a fresh interpreter
+        code = (
+            "import sys\n"
+            "from chan_em import ChannelParams\n"
+            "from chan_em.harness import realize_histogram\n"
+            "from chan_em.observation import ObservationSchedule\n"
+            "before = 'numpy.ma' in sys.modules\n"
+            "schedule = ObservationSchedule.random_uniform((1, 2, 3, 4, 5, 6))\n"
+            "realize_histogram(ChannelParams(0.9, 0.6), schedule, 70_000, 20)\n"
+            "print(before, 'numpy.ma' in sys.modules)\n"
+        )
+        src = str(Path(experiments.__file__).parents[2])
+        env = {**os.environ, "PYTHONPATH": src}
+        run = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True
+        )
+        assert run.returncode == 0, run.stderr
+        before, after = run.stdout.split()
+        assert after == before
 
 
 class TestCmdSimulate:
@@ -620,11 +648,11 @@ class TestStreamedSimulate:
         meta = experiments._meta(config, resolved, "simulate")
         oracle = [tmp_path / "observed.csv"]
         observed_meta = {**meta, "total_slots": len(sequence)}
-        write_slot_states(oracle[0], dataset.times, dataset.states, observed_meta)
+        dataset.save(oracle[0], observed_meta)
         if write_sequence:
             oracle.append(tmp_path / "sequence.csv")
-            slots = np.arange(1, len(sequence) + 1)
-            write_slot_states(oracle[1], slots, sequence, meta)
+            with open_slot_states(oracle[1], meta) as fh:
+                _write_rows(fh, np.arange(1, len(sequence) + 1), sequence)
         assert [path.name for path in written] == [path.name for path in oracle]
         for got, want in zip(written, oracle):
             assert got.read_bytes() == want.read_bytes()

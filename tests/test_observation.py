@@ -23,8 +23,8 @@ from chan_em.observation import (
     GapHistogram,
     _RunCursor,
     _SlotRows,
+    _write_rows,
     open_slot_states,
-    write_slot_states,
 )
 
 
@@ -221,8 +221,7 @@ class TestRunCursor:
         assert [(n, e is None) for n, e in taken] == [(3, False), (1, True), (2, True)]
         read = [*range(6), 10, 11, 12, 110]
         assert np.array_equal(np.concatenate(got), sequence[read])
-        write_slot_states(tmp_path / "whole.csv", None, sequence)
-        whole = (tmp_path / "whole.csv").read_bytes()
+        whole = _rendered(np.arange(1, len(sequence) + 1), sequence, {})
         assert (tmp_path / "rows.csv").read_bytes() == whole
 
     def test_past_the_last_block(self):
@@ -281,7 +280,13 @@ class TestObservedDataset:
         with pytest.raises(ValueError):
             ObservedDataset(times=[1, 5, 5], states=[0, 1, 0])
         with pytest.raises(ValueError):
+            ObservedDataset(times=[1, -2], states=[0, 1])
+        with pytest.raises(ValueError):
             ObservedDataset(times=[1, 5], states=[0, 2])
+        with pytest.raises(ValueError):
+            ObservedDataset(times=[1, 5], states=[-1, 0])
+        with pytest.raises(ValueError):
+            ObservedDataset(times=[1, 5], states=[0])
         with pytest.raises(InsufficientDataError):
             ObservedDataset(times=[1], states=[0])
 
@@ -490,6 +495,17 @@ class TestCsvRoundTrip:
         np.testing.assert_array_equal(loaded.states, [0, 1])
 
 
+def _write_explicit(path, times, states, meta=None) -> None:
+    with open_slot_states(path, meta) as fh:
+        _write_rows(fh, times, states)
+
+
+def _write_implicit(path, states, meta=None) -> None:
+    """The rows of slots 1..len(states)."""
+    with open_slot_states(path, meta) as fh:
+        _SlotRows(fh).write(states)
+
+
 def _rendered(times, states, meta) -> bytes:
     """The reference rendering of a slot-state CSV, one f-string per row."""
     lines = [f"# {key}: {value}\n" for key, value in meta.items()]
@@ -559,47 +575,17 @@ class TestWriteSlotStates:
         states = np.random.default_rng(4).integers(0, 2, size=len(times))
         states = states.astype(state_dtype)
         path = tmp_path / "rows.csv"
-        write_slot_states(path, times, states, meta)
+        _write_explicit(path, times, states, meta)
         assert path.read_bytes() == _rendered(times, states, meta)
-
-    @pytest.mark.parametrize(
-        "times, states",
-        [
-            ([1, -2], [0, 1]),
-            ([1, 2], [0, 10]),
-            ([1, 2], [-1, 0]),
-            ([1, 2], [0]),
-            ([1.0, 2.7, 3.2], [0, 1, 0]),
-            ([1, 2, 3], [0.5, 1.0, 0.9]),
-            ([2**61 + 1], [1]),
-            ([np.iinfo(np.int64).max], [1]),
-            (np.array([2**63 + 5], dtype=np.uint64), [1]),
-            (np.array([2**64 - 1], dtype=np.uint64), [1]),
-        ],
-        ids=[
-            "negative-slot",
-            "two-digit-state",
-            "negative-state",
-            "lengths",
-            "float-times",
-            "float-states",
-            "slot-above-cap",
-            "int64-max",
-            "uint64-above-2p63",
-            "uint64-max",
-        ],
-    )
-    def test_rejects_rows_it_cannot_render(self, tmp_path, times, states):
-        with pytest.raises(ValueError):
-            write_slot_states(tmp_path / "rows.csv", np.array(times), np.array(states))
 
     def test_peak_allocation_is_per_block(self, tmp_path):
         # a temporary over the whole array (8 MB of int64 here) would show
         times = np.arange(1, 1_000_001, dtype=np.int64)
         states = np.zeros(1_000_000, dtype=np.int8)
+        dataset = ObservedDataset(times=times, states=states)
         tracemalloc.start()
         try:
-            write_slot_states(tmp_path / "rows.csv", times, states)
+            dataset.save(tmp_path / "rows.csv")
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -616,8 +602,8 @@ class TestWriteSlotStates:
     def test_implicit_times_equal_explicit(self, tmp_path, n):
         states = np.random.default_rng(6).integers(0, 2, size=n).astype(np.int8)
         meta = {"tool": "chan-em"}
-        write_slot_states(tmp_path / "implicit.csv", None, states, meta)
-        write_slot_states(tmp_path / "explicit.csv", np.arange(1, n + 1), states, meta)
+        _write_implicit(tmp_path / "implicit.csv", states, meta)
+        _write_explicit(tmp_path / "explicit.csv", np.arange(1, n + 1), states, meta)
         implicit = (tmp_path / "implicit.csv").read_bytes()
         assert implicit == (tmp_path / "explicit.csv").read_bytes()
         assert implicit == _rendered(np.arange(1, n + 1), states, meta)
@@ -641,7 +627,7 @@ class TestWriteSlotStates:
             rows = _SlotRows(fh)
             for lo, hi in zip(bounds[:-1], bounds[1:]):
                 rows.write(states[lo:hi])
-        write_slot_states(tmp_path / "whole.csv", None, states, {"tool": "chan-em"})
+        _write_implicit(tmp_path / "whole.csv", states, {"tool": "chan-em"})
         pieces = (tmp_path / "pieces.csv").read_bytes()
         assert pieces == (tmp_path / "whole.csv").read_bytes()
         assert pieces == _rendered(np.arange(1, n + 1), states, {"tool": "chan-em"})
@@ -660,7 +646,7 @@ class TestWriteSlotStates:
             finally:
                 tracemalloc.stop()
         assert peak < 2.5 * 2**20  # a span's rows and digits; the run is 3.05 MiB
-        write_slot_states(tmp_path / "whole.csv", None, np.repeat(states, lens))
+        _write_implicit(tmp_path / "whole.csv", np.repeat(states, lens))
         whole = (tmp_path / "whole.csv").read_bytes()
         assert (tmp_path / "runs.csv").read_bytes() == whole
 
@@ -668,7 +654,7 @@ class TestWriteSlotStates:
         states = np.zeros(1_000_000, dtype=np.int8)
         tracemalloc.start()
         try:
-            write_slot_states(tmp_path / "rows.csv", None, states)
+            _write_implicit(tmp_path / "rows.csv", states)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
