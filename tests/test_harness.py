@@ -668,7 +668,8 @@ class TestStreamedSimulate:
     # the sequence and the observations end on and next to the edges of the
     # 9 999-slot head, of the 65 536-row blocks and of the 10**5-slot spans
     @pytest.mark.parametrize(
-        "count", [2, 9_999, 10_000, 10_001, 65_537, 99_999, 100_000, 100_001]
+        "count",
+        [2, 9_999, 10_000, 10_001, 65_537, 65_538, 99_999, 100_000, 100_001],
     )
     @pytest.mark.parametrize("write_sequence", [True, False])
     def test_skip_zero(self, tmp_path, capsys, count, write_sequence):
