@@ -49,6 +49,7 @@ from chan_em.observation import (
     ObservationSchedule,
     ObservedDataset,
     ScheduleDraw,
+    meta_head,
     open_slot_states,
 )
 
@@ -63,11 +64,18 @@ def derive_seed(master_seed: int, stream: int, index: int = 0) -> int:
     return int(seq.generate_state(1, np.uint64)[0])
 
 
-def _with_seed(schedule: ObservationSchedule, seed: int) -> ObservationSchedule:
-    """Inject a derived seed into a random schedule that lacks one."""
-    if schedule.kind == "fixed" or schedule.seed is not None:
-        return schedule
-    return ObservationSchedule(kind=schedule.kind, support=schedule.support, seed=seed)
+def _channel_seeds(
+    schedule: ObservationSchedule, master_seed: int, channel_index: int
+) -> tuple[ObservationSchedule, int]:
+    """Channel `channel_index`'s schedule, seeded, and its chain seed.
+
+    Both seeds are derived independently from the master seed and the
+    channel index; a random schedule that lacks a seed gets its derived one.
+    """
+    if schedule.kind != "fixed" and schedule.seed is None:
+        seed = derive_seed(master_seed, _STREAM_SCHEDULE, channel_index)
+        schedule = ObservationSchedule.random_uniform(schedule.support, seed)
+    return schedule, derive_seed(master_seed, _STREAM_CHAIN, channel_index)
 
 
 def realize_dataset(
@@ -83,14 +91,9 @@ def realize_dataset(
     No command calls it: it is the materialized oracle that tests and the
     benchmark's checks compare the streamed paths with.
     """
-    schedule = _with_seed(
-        schedule, derive_seed(master_seed, _STREAM_SCHEDULE, channel_index)
-    )
+    schedule, chain_seed = _channel_seeds(schedule, master_seed, channel_index)
     times = schedule.times_for_count(num_observations)
-    total_slots = int(times[-1])
-    sequence = simulate_chain(
-        truth, total_slots, derive_seed(master_seed, _STREAM_CHAIN, channel_index)
-    )
+    sequence = simulate_chain(truth, int(times[-1]), chain_seed)
     return ObservedDataset.sample(sequence, times), sequence
 
 
@@ -104,15 +107,11 @@ def realize_runs(
 ) -> tuple[Iterator[tuple[np.ndarray, np.ndarray]], ScheduleDraw]:
     """One channel's chain, as run_blocks(..., **blocks), and its schedule's draw.
 
-    The chain seed and the schedule seed are derived independently from the
-    master seed and the channel index; the chain ends at the draw's last
-    slot. Every argument is checked on this call, before any block is drawn.
+    Seeded by _channel_seeds; the chain ends at the draw's last slot.
+    Every argument is checked on this call, before any block is drawn.
     """
-    schedule = _with_seed(
-        schedule, derive_seed(master_seed, _STREAM_SCHEDULE, channel_index)
-    )
+    schedule, chain_seed = _channel_seeds(schedule, master_seed, channel_index)
     draw = schedule.draw(num_observations - 1)
-    chain_seed = derive_seed(master_seed, _STREAM_CHAIN, channel_index)
     return run_blocks(truth, draw.last_slot, chain_seed, **blocks), draw
 
 
@@ -177,8 +176,7 @@ def _write_csv(
     path: Path, meta: dict[str, Any], header: list[str], rows: Iterable[Iterable[Any]]
 ) -> None:
     with path.open("w", newline="\n") as fh:
-        for key, value in meta.items():
-            fh.write(f"# {key}: {value}\n")
+        fh.write(meta_head(meta))
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(map(str, row)) + "\n")  # str(float) is its repr

@@ -5,11 +5,11 @@ indices (1-based, always starting at slot 1). Consecutive observations at
 slots t and t' leave t' - t - 1 hidden slots between them; the triple
 (start state, end state, hidden length) is all the likelihood ever needs
 from a gap, so datasets precompute a histogram of those signatures, and
-cache the gap kernel's plan built from it. A fit needs nothing else, so
-GapHistogram holds just that histogram and a few counts, and builds it
-block by block from a chain's runs and a schedule's draw, with no
-per-slot or per-observation array, and can write the observed rows and
-every slot's row as it goes. ObservedDataset keeps every observed slot and
+cache the gap kernel's plan built from it. A fit needs nothing else but
+the first observed state, so GapHistogram holds just those two, and builds
+the histogram block by block from a chain's runs and a schedule's draw,
+with no per-slot or per-observation array, and can write the observed rows
+and every slot's row as it goes. ObservedDataset keeps every observed slot and
 state. The `slot_index,state` CSV of observed and full sequences is
 written and read only here.
 """
@@ -167,20 +167,31 @@ class ScheduleDraw:
 class GapData:
     """What a fit reads of observed data.
 
-    Subclasses provide `gap_histogram` (the pair (signatures, counts)),
-    `num_observations`, `num_transitions` and `num_occupied`, the count of
-    observations in the occupied state.
+    Subclasses provide `gap_histogram` (the pair (signatures, counts)) and
+    `first_state`, the state of the first observation; every count a fit
+    reads is derived from these two.
     """
 
     gap_histogram: tuple[np.ndarray, np.ndarray]
-    num_observations: int
-    num_transitions: int
-    num_occupied: int
+    first_state: int
+
+    @property
+    def num_observations(self) -> int:
+        """One more than the gaps."""
+        return int(self.gap_histogram[1].sum()) + 1
+
+    @property
+    def num_transitions(self) -> int:
+        """Each gap's hidden slots plus one, summed in int64: exact to 2**61."""
+        signatures, counts = self.gap_histogram
+        return int(counts @ (signatures[:, 2] + 1))
 
     @property
     def occupied_fraction(self) -> float:
-        """Fraction of the observations in the occupied state."""
-        return self.num_occupied / self.num_observations
+        """Fraction of the observations, the first and each gap's end, occupied."""
+        signatures, counts = self.gap_histogram
+        occupied = int(counts[signatures[:, 1] == OCCUPIED].sum())
+        return (occupied + (self.first_state == OCCUPIED)) / self.num_observations
 
     @cached_property
     def gap_plan(self) -> GapPlan:
@@ -240,17 +251,8 @@ class ObservedDataset(GapData):
         return cls(times=times, states=states)
 
     @property
-    def num_observations(self) -> int:
-        return int(self.times.shape[0])
-
-    @property
-    def num_transitions(self) -> int:
-        """Transitions spanned by the observation window, times[-1] - 1."""
-        return int(self.times[-1]) - 1
-
-    @property
-    def num_occupied(self) -> int:
-        return int(np.count_nonzero(self.states == OCCUPIED))
+    def first_state(self) -> int:
+        return int(self.states[0])
 
     @cached_property
     def gap_histogram(self) -> tuple[np.ndarray, np.ndarray]:
@@ -292,18 +294,16 @@ class ObservedDataset(GapData):
 
 @dataclass(frozen=True)
 class GapHistogram(GapData):
-    """The gap histogram of an observed chain and the counts a fit reads.
+    """The gap histogram of an observed chain and its first observed state.
 
     `signatures` and `counts` are what ObservedDataset.gap_histogram
     returns for the same observations, values, dtypes and row order alike;
-    no slot index or state of an observation is kept.
+    no slot index, and no other state, of an observation is kept.
     """
 
     signatures: np.ndarray
     counts: np.ndarray
-    num_observations: int
-    num_transitions: int
-    num_occupied: int
+    first_state: int
 
     @property
     def gap_histogram(self) -> tuple[np.ndarray, np.ndarray]:
@@ -325,7 +325,7 @@ class GapHistogram(GapData):
         states from the runs (_RunCursor) and its keys from _gap_keys, and is
         counted by _count_keys, the reduction ObservedDataset.gap_histogram
         runs on its whole arrays. Memory is one block of each, and of the
-        runs; the occupied count is read off the histogram's end states.
+        runs.
         With `rows`, the observations' `slot_index,state` rows are written
         there as they are read; with `sequence`, every slot's row, from the
         one expansion of each run block that the cursor reads (_SlotRows),
@@ -335,15 +335,7 @@ class GapHistogram(GapData):
             raise InsufficientDataError("need at least 2 observations")
         chain = _RunCursor(runs, None if sequence is None else _SlotRows(sequence))
         first = int(chain.states_at(np.zeros(1, dtype=np.int64))[0])
-        signatures, counts = _count_keys(_observed_keys(chain, draw, first, rows))
-        ends_occupied = int(counts[signatures[:, 1] == OCCUPIED].sum())
-        return cls(
-            signatures=signatures,
-            counts=counts,
-            num_observations=draw.gaps + 1,
-            num_transitions=draw.last_slot - 1,
-            num_occupied=(first == OCCUPIED) + ends_occupied,
-        )
+        return cls(*_count_keys(_observed_keys(chain, draw, first, rows)), first)
 
 
 class _RunCursor:
@@ -489,11 +481,15 @@ def _exact_copy(values: np.ndarray, dtype: type, name: str) -> np.ndarray:
     return cast
 
 
+def meta_head(meta: dict | None) -> str:
+    """The `# key: value` lines that head every CSV the commands write."""
+    return "".join(f"# {key}: {value}\n" for key, value in (meta or {}).items())
+
+
 def open_slot_states(path: str | Path, meta: dict | None = None) -> BinaryIO:
     """A new binary file for `slot_index,state` rows, its head written."""
-    head = "".join(f"# {key}: {value}\n" for key, value in (meta or {}).items())
     fh = Path(path).open("wb")
-    fh.write((head + "slot_index,state\n").encode())
+    fh.write((meta_head(meta) + "slot_index,state\n").encode())
     return fh
 
 

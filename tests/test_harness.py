@@ -437,9 +437,11 @@ class TestRealizeHistogram:
         for got, want in zip(histogram.gap_histogram, dataset.gap_histogram):
             assert got.dtype == want.dtype
             assert np.array_equal(got, want)  # values and row order
-        assert histogram.num_transitions == dataset.num_transitions
-        assert histogram.num_observations == dataset.num_observations == count
-        assert histogram.occupied_fraction == float(np.mean(dataset.states == 0))
+        for data in (histogram, dataset):
+            assert data.first_state == dataset.states[0]
+            assert data.num_observations == len(dataset.times) == count
+            assert data.num_transitions == dataset.times[-1] - 1
+            assert data.occupied_fraction == float(np.mean(dataset.states == 0))
 
     @pytest.mark.parametrize("name, index", _desk_preset_channels())
     def test_every_preset_channel(self, name, index):

@@ -133,9 +133,11 @@ class TestGapHistogram:
     def assert_same(self, dataset, histogram):
         for got, want in zip(histogram.gap_histogram, dataset.gap_histogram):
             assert got.dtype == want.dtype and np.array_equal(got, want)
-        for name in ("num_observations", "num_transitions", "num_occupied"):
-            assert getattr(histogram, name) == getattr(dataset, name)
-        assert histogram.occupied_fraction == float(np.mean(dataset.states == 0))
+        for data in (histogram, dataset):
+            assert data.first_state == dataset.states[0]
+            assert data.num_observations == len(dataset.times)
+            assert data.num_transitions == dataset.times[-1] - 1
+            assert data.occupied_fraction == float(np.mean(dataset.states == 0))
 
     @pytest.mark.parametrize(
         "schedule",
@@ -167,7 +169,7 @@ class TestGapHistogram:
             ChannelParams(0.5, 0.5), ObservationSchedule.fixed(1), 10, 0
         )
         with pytest.raises(AttributeError):
-            histogram.num_occupied = 0
+            histogram.first_state = 0
 
 
 class TestRunCursor:
@@ -325,7 +327,7 @@ class TestObservedDataset:
     def test_gap_histogram_counts(self):
         dataset = ObservedDataset(times=[1, 3, 5, 7, 8], states=[0, 1, 0, 1, 1])
         signatures, counts = dataset.gap_histogram
-        assert counts.sum() == dataset.num_observations - 1
+        assert counts.sum() == len(dataset.times) - 1
         as_dict = {tuple(sig): int(c) for sig, c in zip(signatures.tolist(), counts)}
         assert as_dict == {(0, 1, 1): 2, (1, 0, 1): 1, (1, 1, 0): 1}
 
@@ -338,7 +340,7 @@ class TestObservedDataset:
             dataset = ObservedDataset(times=times, states=rng.integers(0, 2, size=k))
             signatures, counts = dataset.gap_histogram
             spanned = int((counts * (signatures[:, 2] + 1)).sum())
-            assert spanned == dataset.num_transitions
+            assert spanned == dataset.num_transitions == times[-1] - 1
 
 
 def naive_histogram(dataset: ObservedDataset) -> tuple[np.ndarray, np.ndarray]:
@@ -406,6 +408,9 @@ class TestGapHistogramPaths:
         dataset = ObservedDataset(times=[1, 2, 2**61], states=[1, 1, 0])
         self.assert_matches_naive(dataset)
         assert dataset.gap_histogram[0].tolist() == [[1, 1, 0], [1, 0, 2**61 - 3]]
+        # summed in int64: a float sum would round 2**61 - 1 to 2**61
+        assert dataset.num_transitions == 2**61 - 1
+        assert dataset.num_observations == 3
         with pytest.raises(ValueError, match="2\\*\\*61"):
             ObservedDataset(times=[1, 2**61 + 1], states=[0, 1])
 
