@@ -17,7 +17,6 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import json
-import math
 from pathlib import Path
 from typing import Any, Iterable, Iterator
 
@@ -103,16 +102,15 @@ def realize_runs(
     num_observations: int,
     master_seed: int,
     channel_index: int = 0,
-    **blocks: float,
 ) -> tuple[Iterator[tuple[np.ndarray, np.ndarray]], ScheduleDraw]:
-    """One channel's chain, as run_blocks(..., **blocks), and its schedule's draw.
+    """One channel's run blocks, read by the fits and simulate, and its draw.
 
     Seeded by _channel_seeds; the chain ends at the draw's last slot.
     Every argument is checked on this call, before any block is drawn.
     """
     schedule, chain_seed = _channel_seeds(schedule, master_seed, channel_index)
     draw = schedule.draw(num_observations - 1)
-    return run_blocks(truth, draw.last_slot, chain_seed, **blocks), draw
+    return run_blocks(truth, draw.last_slot, chain_seed), draw
 
 
 def realize_histogram(
@@ -130,10 +128,8 @@ def realize_histogram(
     the sampler's kept first-state sojourns (1 B each at fig5's truths) and
     one block of each stage.
     """
-    # no slot bound on the blocks: GapHistogram.observe expands runs only
-    # where they are observed densely
     args = (truth, schedule, num_observations, master_seed, channel_index)
-    return GapHistogram.observe(*realize_runs(*args, block_slots=math.inf))
+    return GapHistogram.observe(*realize_runs(*args))
 
 
 def _channel_dataset(config: ExperimentConfig, index: int = 0) -> GapHistogram:

@@ -19,9 +19,8 @@ from chan_em.errors import DegenerateParametersError
 OCCUPIED = 0
 IDLE = 1
 
-# slots a sampler block holds on average, and draws per block (see run_blocks)
+# slots a sampler block holds on average (see run_blocks)
 _BLOCK_SLOTS = 2**16
-_MAX_BLOCK_PAIRS = 2**15
 
 
 @dataclass(frozen=True)
@@ -117,7 +116,6 @@ def run_blocks(
     length: int,
     seed: int,
     initial: int | None = None,
-    block_slots: float = _BLOCK_SLOTS,
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """simulate_chain's trajectory as consecutive blocks of runs.
 
@@ -133,10 +131,10 @@ def run_blocks(
     round sized from the slots still to fill. A round first draws all its
     first-state sojourns, 2**16 at a time, and keeps them in the narrowest
     unsigned dtype that holds them (1 B each at fig5's truths). It then
-    draws the other state's in blocks of about `block_slots` slots' worth of
-    pairs, at least one and at most 2**15; `block_slots=math.inf` bounds a
-    block by its pairs alone, for a consumer that never expands long runs
-    into slots. Every run of a block is clipped at the slots still to fill,
+    draws the other state's in blocks of about 2**16 slots' worth of pairs:
+    at least one pair, and at most 2**15, since a pair spans at least two
+    slots. Every consumer, simulate and the fits alike, reads these same
+    blocks. Every run of a block is clipped at the slots still to fill,
     which never changes the output but keeps the sums from overflowing when
     an exit probability near 1e-300 draws runs near 2**63; the block is
     then cut at its first run that reaches the end, and drawing stops.
@@ -153,7 +151,7 @@ def run_blocks(
         if initial not in (OCCUPIED, IDLE):
             raise ValueError(f"initial state must be 0 or 1, got {initial!r}")
         first = int(initial)
-    return _runs(params, length, rng, first, block_slots)
+    return _runs(params, length, rng, first)
 
 
 def _runs(
@@ -161,7 +159,6 @@ def _runs(
     length: int,
     rng: np.random.Generator,
     first: int,
-    block_slots: float,
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """The blocks of run_blocks, after its checks and first-state draw."""
     other = 1 - first
@@ -175,7 +172,7 @@ def _runs(
         return
 
     mean_pair = 1.0 / p_cur + 1.0 / p_oth
-    block = max(1, int(min(_MAX_BLOCK_PAIRS, block_slots / mean_pair)))
+    block = max(1, int(_BLOCK_SLOTS / mean_pair))
     states = np.empty(2 * block, dtype=np.int8)
     states[0::2] = first
     states[1::2] = other

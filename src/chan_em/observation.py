@@ -39,6 +39,14 @@ _POWERS_OF_TEN = 10 ** np.arange(1, 19, dtype=np.int64)  # digit-count threshold
 _MAX_SLOT = 2**61
 
 
+def _integer(value: object, name: str, least: int) -> int:
+    """`value` as an int; ValueError unless it is whole (not NaN or inf), >= `least`."""
+    whole = isinstance(value, float) and value.is_integer()
+    if not (whole or isinstance(value, (int, np.integer))) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class ObservationSchedule:
     """Rule for how many slots to skip between consecutive observations.
@@ -58,8 +66,7 @@ class ObservationSchedule:
         if self.kind not in _SCHEDULE_KINDS:
             raise ValueError(f"kind must be one of {_SCHEDULE_KINDS}, got {self.kind!r}")
         if self.kind == "fixed":
-            if self.skip is None or self.skip < 0:
-                raise ValueError("fixed schedule needs skip >= 0")
+            object.__setattr__(self, "skip", _integer(self.skip, "skip", 0))
             if self.support is not None:
                 raise ValueError("fixed schedule takes no support")
             if self.seed is not None:
@@ -67,17 +74,16 @@ class ObservationSchedule:
         else:
             if not self.support:
                 raise ValueError("random-uniform schedule needs a non-empty support")
-            if any(int(s) != s or s < 1 for s in self.support):
-                raise ValueError("support entries must be integers >= 1")
+            support = tuple(_integer(s, "support entry", 1) for s in self.support)
             if self.skip is not None:
                 raise ValueError("random-uniform schedule takes no fixed skip")
             if self.seed is not None and self.seed < 0:
                 raise ValueError(f"seed must be non-negative, got {self.seed}")
-            object.__setattr__(self, "support", tuple(int(s) for s in self.support))
+            object.__setattr__(self, "support", support)
 
     @classmethod
     def fixed(cls, skip: int) -> ObservationSchedule:
-        return cls(kind="fixed", skip=int(skip))
+        return cls(kind="fixed", skip=skip)
 
     @classmethod
     def random_uniform(

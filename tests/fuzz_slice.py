@@ -39,7 +39,7 @@ from test_fuzz import SECONDS_PER_CALL, draw_config
 CONFIGS = 400
 SEED = 20142  # test_fuzz.py's tier-1 slice draws from 20141
 EXIT_CODES = (cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_NUMERICAL, cli.EXIT_IO)
-# tracemalloc peak bound per truth, in MiB: 14.2 MiB traced at (0.8, 0.3) and
+# tracemalloc peak bound per truth, in MiB: 13.2 MiB traced at (0.8, 0.3) and
 # 27.6 MiB at (1, 1), whose 2.5e7 first-state sojourns the sampler keeps at
 # 1 B each (master seed 0, 2-vCPU x86-64, numpy 2.4)
 PEAK_MIB = {(0.8, 0.3): 16, (1.0, 1.0): 32}

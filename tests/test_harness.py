@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import io
 import json
-import math
 import os
 import subprocess
 import sys
@@ -480,8 +479,8 @@ class TestRealizeHistogram:
     @pytest.mark.parametrize("short", [0, 1])
     def test_chain_ending_on_a_run_end(self, short):
         # skip 0 observes every slot, so the chain's last slot is observed;
-        # it ends exactly on a run end, or one slot before one, after the
-        # first of two run blocks of 2**15 pairs
+        # it ends exactly on a run end, or one slot before one, in the third
+        # run block, after two of 23 592 pairs
         truth, seed = ChannelParams(0.9, 0.6), derive_seed(10, 0)
         count = next(
             n
@@ -491,22 +490,17 @@ class TestRealizeHistogram:
         self.assert_streams_the_dataset(truth, ObservationSchedule.fixed(0), count, 10)
 
     def test_chain_ending_on_a_block_edge(self):
-        # at this seed and count the first round's first run block, 2**15
+        # at this seed and count the first round's first run block, 23 592
         # full pairs, ends exactly on the chain's last slot, which skip 0
         # observes: the block is used whole and no second block is drawn
-        truth, count = ChannelParams(0.9, 0.6), 91_079
-        blocks = [
-            len(lens)
-            for _, lens in run_blocks(
-                truth, count, derive_seed(1, 0), block_slots=math.inf
-            )
-        ]
-        assert blocks == [2**16]
+        truth, count = ChannelParams(0.9, 0.6), 65_594
+        blocks = [len(lens) for _, lens in run_blocks(truth, count, derive_seed(1, 0))]
+        assert blocks == [2 * 23_592]
         self.assert_streams_the_dataset(truth, ObservationSchedule.fixed(0), count, 1)
 
     def test_fit_path_memory(self):
         # fig5's fastest channel at paper scale: the schedule's picks, the
-        # kept first-state sojourns and one block of each stage (5.7 MiB);
+        # kept first-state sojourns and one block of each stage (5.0 MiB);
         # times, states, the sequence and one key per gap traced 24.9 MiB
         schedule = ObservationSchedule.random_uniform((1, 2, 3, 4, 5, 6))
         np.random.default_rng(0)  # numpy imports np.random on first use: not traced
@@ -520,7 +514,7 @@ class TestRealizeHistogram:
 
     def test_long_fixed_skip_allocates_no_table(self):
         # keys near 4e7 over 2e7 slots: a count table over the keys (320 MB)
-        # or the slots (19 MiB) would show; blocks of 2**15 pairs stay
+        # or the slots (19 MiB) would show; run blocks of about 2**16 slots do not
         schedule = ObservationSchedule.fixed(10**7)
         np.random.default_rng(0)  # numpy imports np.random on first use: not traced
         tracemalloc.start()

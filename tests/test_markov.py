@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 import tracemalloc
 
 import numpy as np
@@ -346,15 +345,12 @@ class TestSimulateChainOracle:
 
 
 class TestRunBlocks:
-    @pytest.mark.parametrize("block_slots", [2**16, math.inf])
     @pytest.mark.parametrize("pair, length, seed, initial", _ORACLE_CASES[::3])
-    def test_blocks_repeat_to_the_sequence(
-        self, pair, length, seed, initial, block_slots
-    ):
+    def test_blocks_repeat_to_the_sequence(self, pair, length, seed, initial):
         params = ChannelParams(*pair)
         expected = simulate_chain(params, length, seed, initial)
         pieces = []
-        for states, lens in run_blocks(params, length, seed, initial, block_slots):
+        for states, lens in run_blocks(params, length, seed, initial):
             assert len(states) == len(lens) <= 2**16
             assert states[0] == expected[0]
             assert (states[1:] != states[:-1]).all()

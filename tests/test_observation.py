@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import tracemalloc
 import warnings
 
@@ -44,6 +45,26 @@ class TestSchedule:
             ObservationSchedule(kind="random-uniform", support=(0, 1), seed=1)
         with pytest.raises(ValueError):
             ObservationSchedule(kind="random-uniform", support=(2,), skip=1, seed=1)
+
+    @pytest.mark.parametrize("value", [2.5, np.float64(2.5), math.nan, math.inf, None])
+    def test_skip_and_support_must_be_integers(self, value):
+        # a skip of 2.5 would draw steps [3] but a last slot of 15.0, and
+        # fixed() must not truncate it to 2
+        for make in (
+            lambda: ObservationSchedule(kind="fixed", skip=value),
+            lambda: ObservationSchedule.fixed(value),
+            lambda: ObservationSchedule.random_uniform((1, value), seed=1),
+        ):
+            with pytest.raises(ValueError, match="must be an integer"):
+                make()
+
+    @pytest.mark.parametrize("value", [3, 3.0, np.int64(3), np.float64(3.0)])
+    def test_integer_skips_are_stored_as_int(self, value):
+        schedule = ObservationSchedule(kind="fixed", skip=value)
+        assert type(schedule.skip) is int and schedule.skip == 3
+        assert schedule.draw(4).last_slot == 17
+        support = ObservationSchedule.random_uniform((1, value), seed=1).support
+        assert support == (1, 3) and all(type(s) is int for s in support)
 
     def test_negative_seed_rejected(self):
         # np.random.default_rng would raise only later, when the schedule draws
@@ -127,7 +148,7 @@ class TestGapHistogram:
         sequence = simulate_chain(params, draw.last_slot, seed)
         dataset = ObservedDataset.sample(sequence, draw.times())
         return dataset, GapHistogram.observe(
-            run_blocks(params, draw.last_slot, seed, block_slots=np.inf), draw
+            run_blocks(params, draw.last_slot, seed), draw
         )
 
     def assert_same(self, dataset, histogram):
@@ -160,7 +181,7 @@ class TestGapHistogram:
     def test_runs_shorter_than_the_draw(self):
         params = ChannelParams(0.5, 0.5)
         draw = ObservationSchedule.fixed(2).draw(50)
-        runs = run_blocks(params, draw.last_slot - 1, 0, block_slots=np.inf)
+        runs = run_blocks(params, draw.last_slot - 1, 0)
         with pytest.raises(ValueError, match="runs end at slot"):
             GapHistogram.observe(runs, draw)
 
