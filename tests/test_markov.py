@@ -345,7 +345,8 @@ class TestSimulateChainOracle:
 
 
 class TestRunBlocks:
-    @pytest.mark.parametrize("pair, length, seed, initial", _ORACLE_CASES[::3])
+    # every oracle case: simulate and the fits both read these blocks
+    @pytest.mark.parametrize("pair, length, seed, initial", _ORACLE_CASES)
     def test_blocks_repeat_to_the_sequence(self, pair, length, seed, initial):
         params = ChannelParams(*pair)
         expected = simulate_chain(params, length, seed, initial)
