@@ -53,7 +53,7 @@ from chan_em.likelihood import (
     transition_powers,  # noqa: F401
 )
 from chan_em.markov import ChannelParams
-from chan_em.observation import GapData
+from chan_em.observation import GapData, _integer
 
 
 @dataclass(frozen=True)
@@ -75,9 +75,11 @@ class EmConfig:
     record_trajectory: bool = False
 
     def __post_init__(self) -> None:
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
-        if self.param_tolerance < 0:
+        object.__setattr__(
+            self, "max_iterations", _integer(self.max_iterations, "max_iterations", 1)
+        )
+        # NaN too: no step is below it, so it would silently turn the early stop off
+        if not self.param_tolerance >= 0:
             raise ValueError("param_tolerance must be >= 0")
         # 1 - eps < 1 also rules out eps <= 0 and NaN
         if not (1.0 - self.clamp_epsilon < 1.0 and self.clamp_epsilon <= 0.01):

@@ -77,8 +77,8 @@ class ObservationSchedule:
             support = tuple(_integer(s, "support entry", 1) for s in self.support)
             if self.skip is not None:
                 raise ValueError("random-uniform schedule takes no fixed skip")
-            if self.seed is not None and self.seed < 0:
-                raise ValueError(f"seed must be non-negative, got {self.seed}")
+            if self.seed is not None:
+                object.__setattr__(self, "seed", _integer(self.seed, "seed", 0))
             object.__setattr__(self, "support", support)
 
     @classmethod
@@ -90,11 +90,7 @@ class ObservationSchedule:
         cls, support: tuple[int, ...], seed: int | None = None
     ) -> ObservationSchedule:
         # seed may stay None until a caller injects one (required to draw)
-        return cls(
-            kind="random-uniform",
-            support=tuple(support),
-            seed=None if seed is None else int(seed),
-        )
+        return cls(kind="random-uniform", support=tuple(support), seed=seed)
 
     def draw(self, gaps: int) -> ScheduleDraw:
         """The steps between the first `gaps + 1` observation slots.

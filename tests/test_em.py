@@ -495,3 +495,27 @@ class TestEmConfig:
             EmConfig(clamp_epsilon=1e-17)
         EmConfig(clamp_epsilon=2**-53)  # the smallest power of two accepted
         assert ChannelParams(0.0, 1.0).clamped(2**-53).is_interior()
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("max_iterations", 2.5),
+            ("max_iterations", np.float64(2.5)),
+            ("max_iterations", float("inf")),
+            ("max_iterations", float("nan")),
+            ("param_tolerance", float("nan")),
+        ],
+    )
+    def test_cap_must_be_an_integer_and_tolerance_a_number(self, field, value):
+        # run_em raised a raw TypeError on a fractional or infinite cap, and a
+        # NaN tolerance silently ran every iteration: no step is below NaN
+        with pytest.raises(ValueError, match=field):
+            EmConfig(**{field: value})
+
+    @pytest.mark.parametrize("value", [7, 7.0, np.int64(7), np.float64(7.0)])
+    def test_whole_caps_are_stored_as_int(self, value):
+        config = EmConfig(max_iterations=value, record_trajectory=True)
+        assert type(config.max_iterations) is int and config.max_iterations == 7
+        dataset = ObservedDataset(times=[1, 3, 6, 7], states=[0, 1, 0, 0])
+        report = run_em(dataset, ChannelParams(0.4, 0.4), config)
+        assert report.iterations_run == 7 and len(report.trajectory.steps) == 8

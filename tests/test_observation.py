@@ -66,6 +66,31 @@ class TestSchedule:
         support = ObservationSchedule.random_uniform((1, value), seed=1).support
         assert support == (1, 3) and all(type(s) is int for s in support)
 
+    @pytest.mark.parametrize("value", [2.5, math.nan, math.inf])
+    def test_seed_must_be_an_integer(self, value):
+        # SeedSequence raised a raw TypeError at the first draw, and
+        # random_uniform() truncated 2.5 to 2
+        for make in (
+            lambda: ObservationSchedule(
+                kind="random-uniform", support=(1, 2), seed=value
+            ),
+            lambda: ObservationSchedule.random_uniform((1, 2), seed=value),
+        ):
+            with pytest.raises(ValueError, match="seed must be an integer"):
+                make()
+
+    @pytest.mark.parametrize("value", [np.float64(3.0), np.int64(3)])
+    def test_whole_seeds_are_stored_as_int(self, value):
+        reference = ObservationSchedule.random_uniform((1, 2, 5), seed=3)
+        for schedule in (
+            ObservationSchedule(kind="random-uniform", support=(1, 2, 5), seed=value),
+            ObservationSchedule.random_uniform((1, 2, 5), seed=value),
+        ):
+            assert type(schedule.seed) is int and schedule.seed == 3
+            np.testing.assert_array_equal(
+                schedule.times_for_count(50), reference.times_for_count(50)
+            )
+
     def test_negative_seed_rejected(self):
         # np.random.default_rng would raise only later, when the schedule draws
         with pytest.raises(ValueError, match="seed"):
