@@ -18,6 +18,7 @@ from chan_em.em import (
     multi_start,
     relative_error,
     run_em,
+    run_em_each,
     score_against_truth,
 )
 from chan_em.errors import (
@@ -111,6 +112,7 @@ __all__ = [
     "rank_channels",
     "relative_error",
     "run_em",
+    "run_em_each",
     "score_against_truth",
     "se_db_between",
     "simulate_chain",

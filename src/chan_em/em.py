@@ -17,11 +17,14 @@ log-likelihood. The M-step is expfam.mle_complete, the complete-data ratio
 estimator, on the expected counts, clamped into the open unit square so
 log-likelihoods stay finite.
 
-Every start of one dataset runs in lockstep: each E-M iterate makes one
-e_step call, and so one kernel call, for all starts still running, with the
-Van Loan matrices of the starts stacked. run_em is that loop with one start,
-multi_start with all of its starts; each start stops on its own tolerance
-and gets exactly the iterates, trajectory and errors it would get alone.
+Every (dataset, start) pair of a call runs in lockstep: each E-M iterate
+makes one e_step call, and so one kernel call, per signature table for the
+pairs still running, with the Van Loan matrices of their points stacked and
+each point reduced with its own dataset's counts. run_em is that loop with
+one pair, multi_start with every start of one dataset, and run_em_each with
+one start for each of several datasets, as the multichannel commands fit
+their channels. Each pair stops on its own tolerance and gets exactly the
+iterates, trajectory and errors it would get alone.
 
 The fit never sees the true parameters. score_against_truth scores finished
 runs against a known truth, for simulations only.
@@ -31,7 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -137,14 +140,18 @@ class EstimateReport:
 
 
 def e_step(
-    dataset: GapData, params: ChannelParams | Sequence[ChannelParams]
+    dataset: GapData,
+    params: ChannelParams | Sequence[ChannelParams],
+    datasets: Sequence[GapData] | None = None,
 ) -> GapPosterior | list[GapPosterior]:
     """Posterior-expected transition counts under interior parameters.
 
     At one point, gap_posterior's result: the counts for all gap signatures
     at once, at a cost of O(signatures x log max gap), and the log_likelihood
     at params. At a sequence of points, one gap_posteriors call for all of
-    them, one result per point. Either form raises the kernel's
+    them, one result per point; with `datasets`, one per point and each with
+    dataset's signatures, each point's result is on its own dataset, as
+    gap_posteriors documents. Either form raises the kernel's
     BoundaryParameterError at a point that is not interior (clamp it first)
     and its ZeroProbabilityError if a gap probability underflows. The four
     expectations sum to the spanned transition count up to rounding (each
@@ -152,7 +159,7 @@ def e_step(
     """
     if isinstance(params, ChannelParams):
         return gap_posterior(dataset, params)
-    return gap_posteriors(dataset, params)
+    return gap_posteriors(dataset, params, datasets)
 
 
 def m_step(expected: SufficientStats, clamp_epsilon: float = 1e-9) -> ChannelParams:
@@ -182,65 +189,112 @@ def relative_error(
     )
 
 
-def _lockstep(
-    dataset: GapData, starts: Sequence[ChannelParams], config: EmConfig
-) -> list[EstimateReport | ChanEmError]:
-    """Run E-M from every start at once; per start, its report or its error.
+def _shared_tables(datasets: Sequence[GapData]) -> list[int]:
+    """For each dataset, the index of the first dataset with its signatures."""
+    tables: list[int] = []
+    for index, dataset in enumerate(datasets):
+        signatures = dataset.gap_histogram[0]
+        same = (
+            first
+            for first in dict.fromkeys(tables)
+            if np.array_equal(datasets[first].gap_histogram[0], signatures)
+        )
+        tables.append(next(same, index))
+    return tables
 
-    Each iterate makes one e_step call for the starts still running. A start
-    stops after the E-step at which its last update moved no parameter by
-    param_tolerance or more, or after max_iterations updates; one whose
-    M-step fails stops with that error, prefixed by the iteration. The others
-    carry on, so every start's outcome is what it would be alone. The E-step
-    fails only as a whole, on an underflow that clamped iterates do not
-    reach, and its error then fails this call.
+
+def _lockstep(
+    datasets: Sequence[GapData],
+    starts: Sequence[Sequence[ChannelParams]],
+    config: EmConfig,
+) -> list[list[EstimateReport | ChanEmError] | ChanEmError]:
+    """Run E-M from every start of every dataset at once.
+
+    Returns, per dataset, the report or error of each of its starts, or the
+    E-step error that failed that dataset as a whole. Each iterate makes one
+    e_step call per signature table for the (dataset, start) pairs still
+    running. A pair stops after the E-step at which its last update moved no
+    parameter by param_tolerance or more, or after max_iterations updates;
+    one whose M-step fails stops with that error, prefixed by the iteration.
+    The others carry on, so every pair's outcome is what it would be alone.
+    The E-step fails only on an underflow that clamped iterates do not
+    reach; a call that fails is repeated per dataset, and a dataset whose
+    own call fails stops with that error while the other datasets carry on.
     """
     eps = config.clamp_epsilon
-    current = [start.clamped(eps) for start in starts]
+    owner = [index for index, points in enumerate(starts) for _ in points]
+    origin = [start for points in starts for start in points]
+    data = [datasets[index] for index in owner]
+    current = [start.clamped(eps) for start in origin]
     trajectories = [
-        EmTrajectory() if config.record_trajectory else None for _ in starts
+        EmTrajectory() if config.record_trajectory else None for _ in origin
     ]
-    delta = [math.inf] * len(starts)
-    outcomes: list = [None] * len(starts)
-    live = range(len(starts))
-    for iteration in range(config.max_iterations + 1):
-        posteriors = e_step(dataset, [current[i] for i in live])
-        running = []
-        for i, posterior in zip(live, posteriors):
-            if trajectories[i] is not None:
-                trajectories[i].steps.append(
-                    TrajectoryStep(
-                        iteration, *current[i].as_tuple(), posterior.log_likelihood
-                    )
-                )
-            converged = delta[i] < config.param_tolerance
-            if converged or iteration == config.max_iterations:
-                if converged and trajectories[i] is not None:
-                    trajectories[i].converged_at = iteration
-                outcomes[i] = EstimateReport(
-                    estimate=current[i],
-                    start=starts[i],
-                    iterations_run=iteration,
-                    log_likelihood=posterior.log_likelihood,
-                    trajectory=trajectories[i],
-                )
-                continue
+    delta = [math.inf] * len(origin)
+    outcomes: list = [None] * len(origin)
+    failed: dict[int, ChanEmError] = {}
+
+    def evaluate(pairs: list[int]) -> Iterable[tuple[int, GapPosterior]]:
+        """E-step of pairs whose datasets share one table, less failed ones."""
+        owners = [data[i] for i in pairs]
+        try:
+            return zip(pairs, e_step(owners[0], [current[i] for i in pairs], owners))
+        except ChanEmError:
+            pass
+        # repeated per dataset, so that only the datasets whose own call fails stop
+        done: list[tuple[int, GapPosterior]] = []
+        for index in dict.fromkeys(owner[i] for i in pairs):
+            part = [i for i in pairs if owner[i] == index]
             try:
-                updated = m_step(posterior, eps)
+                done += zip(part, e_step(datasets[index], [current[i] for i in part]))
             except ChanEmError as exc:
-                outcomes[i] = type(exc)(f"iteration {iteration + 1}: {exc}")
-                outcomes[i].__cause__ = exc
-                continue
-            delta[i] = max(
-                abs(updated.alpha - current[i].alpha),
-                abs(updated.beta - current[i].beta),
-            )
-            current[i] = updated
-            running.append(i)
+                failed[index] = exc
+        return done
+
+    # the pairs still running, by signature table
+    live: dict[int, list[int]] = {}
+    for i, table in enumerate(_shared_tables(data)):
+        live.setdefault(table, []).append(i)
+    for iteration in range(config.max_iterations + 1):
+        running: dict[int, list[int]] = {}
+        for table, pairs in live.items():
+            for i, posterior in evaluate(pairs):
+                if trajectories[i] is not None:
+                    trajectories[i].steps.append(
+                        TrajectoryStep(
+                            iteration, *current[i].as_tuple(), posterior.log_likelihood
+                        )
+                    )
+                converged = delta[i] < config.param_tolerance
+                if converged or iteration == config.max_iterations:
+                    if converged and trajectories[i] is not None:
+                        trajectories[i].converged_at = iteration
+                    outcomes[i] = EstimateReport(
+                        estimate=current[i],
+                        start=origin[i],
+                        iterations_run=iteration,
+                        log_likelihood=posterior.log_likelihood,
+                        trajectory=trajectories[i],
+                    )
+                    continue
+                try:
+                    updated = m_step(posterior, eps)
+                except ChanEmError as exc:
+                    outcomes[i] = type(exc)(f"iteration {iteration + 1}: {exc}")
+                    outcomes[i].__cause__ = exc
+                    continue
+                delta[i] = max(
+                    abs(updated.alpha - current[i].alpha),
+                    abs(updated.beta - current[i].beta),
+                )
+                current[i] = updated
+                running.setdefault(table, []).append(i)
         live = running
         if not live:
             break
-    return outcomes
+    per_dataset: list[list] = [[] for _ in datasets]
+    for index, outcome in zip(owner, outcomes):
+        per_dataset[index].append(outcome)
+    return [failed.get(index, done) for index, done in enumerate(per_dataset)]
 
 
 def run_em(
@@ -252,10 +306,29 @@ def run_em(
     Each E-step also yields its iterate's log-likelihood, so N updates cost
     N+1 kernel evaluations.
     """
-    (report,) = _lockstep(dataset, [start], config)
+    (report,) = run_em_each([dataset], [start], config)
     if isinstance(report, ChanEmError):
         raise report
     return report
+
+
+def run_em_each(
+    datasets: Sequence[GapData],
+    starts: Sequence[ChannelParams],
+    config: EmConfig = EmConfig(),
+) -> list[EstimateReport | ChanEmError]:
+    """run_em on each dataset from its start, all of them in lockstep.
+
+    Entry k is the report of run_em(datasets[k], starts[k], config), bit
+    for bit, or the error that call would raise; one failing dataset does
+    not stop the others. Datasets that share a signature table share each
+    iterate's kernel call, so C such datasets cost at most max_iterations + 1
+    calls, not up to C times as many.
+    """
+    return [
+        outcome if isinstance(outcome, ChanEmError) else outcome[0]
+        for outcome in _lockstep(datasets, [[start] for start in starts], config)
+    ]
 
 
 def multi_start(
@@ -273,11 +346,12 @@ def multi_start(
     """
     if not starts:
         raise ValueError("need at least one start")
+    (outcomes,) = _lockstep([dataset], [starts], config)
+    if isinstance(outcomes, ChanEmError):
+        raise outcomes
     reports: list[EstimateReport] = []
     failures: list[str] = []
-    for index, (start, outcome) in enumerate(
-        zip(starts, _lockstep(dataset, starts, config))
-    ):
+    for index, (start, outcome) in enumerate(zip(starts, outcomes)):
         if isinstance(outcome, ChanEmError):
             failures.append(f"start {index} ({start.alpha}, {start.beta}): {outcome}")
         else:

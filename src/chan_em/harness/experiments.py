@@ -28,10 +28,11 @@ from chan_em.em import (
     heuristic_starts,
     multi_start,
     relative_error,
-    run_em,
+    run_em_each,
     score_against_truth,
 )
-from chan_em.errors import ConfigError
+from chan_em.em import run_em  # noqa: F401  kept for bench/tracing.py
+from chan_em.errors import ChanEmError, ConfigError
 from chan_em.harness.config import ExperimentConfig, config_hash
 from chan_em.likelihood import geometric_mean_likelihood, se_db_between
 from chan_em.likelihood import squared_error_db  # noqa: F401  kept for bench/tracing.py
@@ -332,7 +333,16 @@ def cmd_se_grid(config: ExperimentConfig, resolved: dict) -> list[Path]:
 
 
 def _estimate_channels(config: ExperimentConfig) -> list[EstimateReport]:
-    """Simulate, observe, and estimate every configured channel, in order."""
+    """Simulate, observe, and estimate every configured channel.
+
+    The channels are realized in order, each in its own frame, and only
+    their gap histograms are kept; all of them are then fitted in one
+    lockstep (run_em_each) and scored in order. The first channel to fail,
+    in channel order, raises its error, as when each channel was realized,
+    fitted and scored before the next: a realization or start error stops
+    the realizing, and is raised only once the channels before it are
+    fitted and scored.
+    """
     channels = config.true_params
     heuristic = isinstance(config.starts, int)
     if heuristic:
@@ -347,27 +357,40 @@ def _estimate_channels(config: ExperimentConfig) -> list[EstimateReport]:
             f"got {len(config.starts)} starts for {len(channels)} channels"
         )
     _check_truths(channels)
-    return [
-        _estimate_channel(config, index, 0 if heuristic else index)
-        for index in range(len(channels))
-    ]
+    datasets: list[GapHistogram] = []
+    starts: list[ChannelParams] = []
+    stopped: ChanEmError | None = None
+    for index in range(len(channels)):
+        try:
+            dataset, start = _realize_channel(config, index, 0 if heuristic else index)
+        except ChanEmError as exc:
+            stopped = exc
+            break
+        datasets.append(dataset)
+        starts.append(start)
+    reports = []
+    for dataset, truth, outcome in zip(
+        datasets, channels, run_em_each(datasets, starts, config.em)
+    ):
+        if isinstance(outcome, ChanEmError):
+            raise outcome
+        score_against_truth(dataset, [outcome], truth, config.em.clamp_epsilon)
+        reports.append(outcome)
+    if stopped is not None:
+        raise stopped
+    return reports
 
 
-def _estimate_channel(
+def _realize_channel(
     config: ExperimentConfig, index: int, start_index: int
-) -> EstimateReport:
-    """Realize, fit and score channel `index` from start `start_index`.
+) -> tuple[GapHistogram, ChannelParams]:
+    """Channel `index`'s gap histogram and its start `start_index`.
 
-    Its own frame, so the channel's dataset is freed when it returns and
-    the next channel is realized with no other channel's data alive.
+    Its own frame, so the channel's realization is freed when it returns
+    and the next channel is realized with only earlier histograms alive.
     """
     dataset = _channel_dataset(config, index)
-    start = _resolve_starts(config, dataset)[start_index]
-    report = run_em(dataset, start, config.em)
-    score_against_truth(
-        dataset, [report], config.true_params[index], config.em.clamp_epsilon
-    )
-    return report
+    return dataset, _resolve_starts(config, dataset)[start_index]
 
 
 def cmd_multichannel(config: ExperimentConfig, resolved: dict) -> list[Path]:

@@ -4,10 +4,12 @@ Conditioned on the first observed state, the probability of an observed
 dataset factorizes over gaps: a gap from state a to state b with g hidden
 slots contributes [P^(g+1)]_{a,b}, the (g+1)-step transition probability.
 gap_posteriors computes it together with the E-step's expected counts, at
-many parameter points in one call: the lockstep E-M evaluates every live
-start of one dataset at once, so an iterate costs one call whatever the
-number of starts. gap_posterior is its one-point form. gap_posteriors alone
-checks kernel input, and a call fails as a whole, never one point. The
+many parameter points in one call, each point reduced with its own
+dataset's counts when the datasets share one signature table: the lockstep
+E-M evaluates every live (dataset, start) pair of a table at once, so an
+iterate costs one call per table whatever the number of starts and
+datasets. gap_posterior is its one-point form. gap_posteriors alone checks
+kernel input, and a call fails as a whole, never one point. The
 brute-force functions recompute the same quantities by summing over every
 completion of the hidden slots; they exist as independent oracles for tests
 and are deliberately naive.
@@ -118,7 +120,9 @@ def build_gap_plan(dataset: GapData) -> GapPlan:
 
 
 def gap_posteriors(
-    dataset: GapData, points: Sequence[ChannelParams]
+    dataset: GapData,
+    points: Sequence[ChannelParams],
+    datasets: Sequence[GapData] | None = None,
 ) -> list[GapPosterior]:
     """Posterior-expected transition counts and log-likelihood at each point.
 
@@ -145,6 +149,12 @@ def gap_posteriors(
     error stays within a small multiple of (g+1) float epsilons anywhere in
     the unit square, and counts that are exactly zero come out zero.
 
+    The bit loop reads only the signatures. With `datasets`, one per point,
+    each of which must have the same signatures as `dataset` (row for row),
+    each point is reduced with its own dataset's counts, so its result is
+    that of a call on its own dataset; without, every point is reduced with
+    dataset's.
+
     Raises BoundaryParameterError unless every point is interior (callers
     clamp). There a gap probability reaches zero only by underflow at
     subnormal parameters, which no clamped point reaches; the call then
@@ -156,15 +166,23 @@ def gap_posteriors(
             "the gap kernel requires 0 < alpha, beta < 1, clamp the point first"
         )
     plan = dataset.gap_plan
+    if datasets is not None and all(data is dataset for data in datasets):
+        datasets = None  # then one counts row serves every point
     per_call = max(1, MAX_BATCH_ROWS // len(plan.counts))
     results: list[GapPosterior] = []
     for lo in range(0, len(points), per_call):
-        results += _posteriors(plan, points[lo : lo + per_call])
+        hi = lo + per_call
+        counts = (
+            plan.counts
+            if datasets is None
+            else np.array([data.gap_plan.counts for data in datasets[lo:hi]])
+        )
+        results += _posteriors(plan, counts, points[lo:hi])
     return results
 
 
 def _posteriors(
-    plan: GapPlan, points: Sequence[ChannelParams]
+    plan: GapPlan, counts: np.ndarray, points: Sequence[ChannelParams]
 ) -> list[GapPosterior]:
     """One batch of gap_posteriors: the bit loop, then one _reduce call."""
     # entries of transition_matrix(p).ravel(), then 0.0 and 1.0
@@ -188,21 +206,27 @@ def _posteriors(
         raise ZeroProbabilityError(
             f"an observed gap has probability zero at ({point.alpha}, {point.beta})"
         )
-    return _reduce(plan, blocks)
+    return _reduce(counts, blocks)
 
 
-def _reduce(plan: GapPlan, blocks: np.ndarray) -> list[GapPosterior]:
+def _reduce(counts: np.ndarray, blocks: np.ndarray) -> list[GapPosterior]:
     """Counts and log-likelihood of each point's (S, 5) blocks, all prob > 0.
 
-    Each point's reductions are one vector-matrix and one dot product over the
-    signatures, so a point's sums do not depend on the batch it came in.
+    `counts` holds the signature multiplicities, (S,) for every point or
+    (B, S), a row per point. Each point's reductions are one vector-matrix
+    and one dot product over the signatures, (1, S) @ (S, 4) and
+    (1, S) @ (S, 1), batched over the points, so a point's sums do not
+    depend on the batch it came in, nor on whether its counts row is shared
+    or its own.
     """
     prob = blocks[..., 0]
-    expected = plan.counts @ (blocks[..., 1:] / prob[..., None])
-    log_likelihood = np.log(prob)[:, None] @ plan.counts
+    expected = counts[..., None, :] @ (blocks[..., 1:] / prob[..., None])
+    log_likelihood = np.log(prob)[:, None, :] @ counts[..., None]
     return [
-        GapPosterior(*counts, value)
-        for counts, value in zip(expected.tolist(), log_likelihood.ravel().tolist())
+        GapPosterior(*point, value)
+        for point, value in zip(
+            expected.reshape(-1, 4).tolist(), log_likelihood.ravel().tolist()
+        )
     ]
 
 

@@ -45,9 +45,9 @@ def kernel_calls(monkeypatch):
     calls = []
     original = likelihood.gap_posteriors
 
-    def counted(dataset, points):
+    def counted(dataset, points, datasets=None):
         calls.extend(points)
-        return original(dataset, points)
+        return original(dataset, points, datasets)
 
     for module in (likelihood, em, experiments):
         if "gap_posteriors" in vars(module):

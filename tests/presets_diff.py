@@ -32,6 +32,11 @@ SEQUENCES = {
                                      "support": [1, 2, 3, 4, 5, 6]}},
     "fast-sequence": {"true_params": [{"alpha": 0.9, "beta": 0.6}]},
 }
+# channels whose signature tables differ (24 rows and 6), fitted in one lockstep
+MIXED_TABLES = {"true_params": [{"alpha": 0.8, "beta": 0.3},
+                                {"alpha": 1e-4, "beta": 1e-4}],
+                "starts": [{"alpha": 0.6, "beta": 0.5}, {"alpha": 0.2, "beta": 0.8}],
+                "observed_slots": 2000}
 EDGES = {  # at desk scale, merged over the command's preset
     "table1": {
         # every slot observed at (1e-5, 1e-5): ten run blocks of one or two runs
@@ -55,7 +60,10 @@ EDGES = {  # at desk scale, merged over the command's preset
                          "true_params": [{"alpha": 1e-6, "beta": 1e-6}]},
         "block-edge": {**SEQUENCE, "observed_slots": 65_538},
     },
-    "multichannel": {"heuristic": {"starts": {"heuristic_count": 1}}},
+    "multichannel": {"heuristic": {"starts": {"heuristic_count": 1}},
+                     "mixed-tables": MIXED_TABLES},
+    "rank": {"heuristic": {"starts": {"heuristic_count": 1}},
+             "mixed-tables": MIXED_TABLES},
 }
 # (path in the output tree, CLI command and flags but --out and --config, config)
 RUNS = [

@@ -15,6 +15,7 @@ from chan_em import (
     InsufficientDataError,
     ObservationSchedule,
     ObservedDataset,
+    ZeroProbabilityError,
     brute_force_expected_stats,
     count_statistics,
     e_step,
@@ -26,6 +27,7 @@ from chan_em import (
     observe,
     relative_error,
     run_em,
+    run_em_each,
     score_against_truth,
     simulate_chain,
 )
@@ -385,9 +387,9 @@ class TestLockstep:
         assert len(stops) >= 3 and max(stops) < 1000  # starts stop at different iterates
         calls = []
 
-        def counted(data, points):
+        def counted(data, points, datasets=None):
             calls.append(len(points))
-            return e_step(data, points)
+            return e_step(data, points, datasets)
 
         monkeypatch.setattr(em, "e_step", counted)
         _, reports = multi_start(dataset, self.STARTS, config)
@@ -434,6 +436,77 @@ class TestLockstep:
             f"start {k} ({s.alpha}, {s.beta}): {m}"
             for k, (s, m) in enumerate(zip(failing_starts, renumbered))
         )
+
+
+    def test_datasets_run_together_each_as_alone(self, dataset, monkeypatch):
+        from chan_em import em
+
+        # a second draw with the same signature table and other counts, and
+        # a dataset with its own table
+        seq = simulate_chain(ChannelParams(0.3, 0.6), 30_000, seed=16)
+        other = observe(seq, ObservationSchedule.random_uniform((1, 2), seed=16))
+        sparse = observe(seq, ObservationSchedule.fixed(3))
+        table, other_table, sparse_table = (
+            d.gap_histogram[0] for d in (dataset, other, sparse)
+        )
+        assert np.array_equal(table, other_table)
+        assert not np.array_equal(table, sparse_table)
+        datasets = [dataset, sparse, other, dataset, sparse]
+        starts = self.STARTS
+        config = EmConfig(
+            max_iterations=1000, param_tolerance=1e-5, record_trajectory=True
+        )
+        alone = [run_em(d, s, config) for d, s in zip(datasets, starts)]
+        calls = []
+
+        def counted(data, points, owners=None):
+            calls.append(len(points))
+            return e_step(data, points, owners)
+
+        monkeypatch.setattr(em, "e_step", counted)
+        outcomes = run_em_each(datasets, starts, config)
+        assert [run_fields(r) for r in outcomes] == [run_fields(r) for r in alone]
+        # one e_step call per iterate and table, over its pairs still running
+        expected = []
+        for k in range(max(r.iterations_run for r in alone) + 1):
+            for members in ((0, 2, 3), (1, 4)):
+                live = sum(alone[i].iterations_run >= k for i in members)
+                expected += [live] if live else []
+        assert calls == expected
+
+    def test_e_step_failure_stops_only_its_dataset(self, dataset, monkeypatch):
+        from chan_em import em
+
+        # the same table as dataset, but another object; its third E-step fails
+        twin = ObservedDataset(times=dataset.times, states=dataset.states)
+        config = EmConfig(max_iterations=20, record_trajectory=True)
+        alone = [run_em(dataset, start, config) for start in self.STARTS[:2]]
+        original = em.gap_posteriors
+        seen = []
+
+        def kernel(data, points, datasets=None):
+            if any(d is twin for d in datasets or [data]):
+                seen.append(len(points))
+                if len(seen) >= 3:
+                    raise ZeroProbabilityError("forced")
+            return original(data, points, datasets)
+
+        monkeypatch.setattr(em, "gap_posteriors", kernel)
+        with pytest.raises(ZeroProbabilityError, match="^forced$"):
+            run_em(twin, self.STARTS[2], config)
+        seen.clear()
+        starts = [self.STARTS[0], self.STARTS[2], self.STARTS[1]]
+        outcomes = run_em_each([dataset, twin, dataset], starts, config)
+        assert isinstance(outcomes[1], ZeroProbabilityError)
+        assert str(outcomes[1]) == "forced"
+        assert [run_fields(outcomes[0]), run_fields(outcomes[2])] == [
+            run_fields(report) for report in alone
+        ]
+        # the shared call of the third iterate failed, then twin's own call
+        assert seen == [3, 3, 3, 1]
+        seen.clear()
+        with pytest.raises(ZeroProbabilityError, match="^forced$"):
+            multi_start(twin, self.STARTS, config)
 
 
 class TestHeuristicStarts:

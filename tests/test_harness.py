@@ -17,7 +17,9 @@ import pytest
 
 from chan_em import (
     ChannelParams,
+    InsufficientDataError,
     ObservedDataset,
+    heuristic_starts,
     multi_start,
     relative_error,
     run_em,
@@ -981,20 +983,22 @@ class TestCmdMultichannel:
         with pytest.raises(ConfigError, match="one to one"):
             cmd_multichannel(config, resolved)
 
-    def test_holds_one_channel_dataset_at_a_time(self, tmp_path, monkeypatch):
-        # a weakref to every histogram realized so far must be dead by the
-        # time the next channel is realized, and by the time the command returns
+    def test_realizes_one_channel_at_a_time(self, tmp_path, monkeypatch):
+        # the channels' histograms are all kept for the one lockstep fit, but
+        # a weakref to every realization so far (its schedule draw and run
+        # blocks) must be dead by the time the next channel is realized, and
+        # by the time the command returns
         alive = []
-        real = experiments.realize_histogram
+        real = experiments.realize_runs
 
         def tracked(*args, **kwargs):
             held = [ref for ref in alive if ref() is not None]
-            assert held == [], f"{len(held)} earlier histogram(s) alive"
-            result = real(*args, **kwargs)
-            alive.append(weakref.ref(result))
-            return result
+            assert held == [], f"{len(held)} earlier realization part(s) alive"
+            runs, draw = real(*args, **kwargs)
+            alive.extend((weakref.ref(runs), weakref.ref(draw)))
+            return runs, draw
 
-        monkeypatch.setattr(experiments, "realize_histogram", tracked)
+        monkeypatch.setattr(experiments, "realize_runs", tracked)
         channels = [{"alpha": 0.8, "beta": 0.3}, {"alpha": 0.2, "beta": 0.9}] * 2
         resolved = small_config(
             tmp_path,
@@ -1003,8 +1007,159 @@ class TestCmdMultichannel:
             em={"max_iterations": 5, "record_trajectory": True},
         )
         cmd_multichannel(parse_config(resolved), resolved)
-        assert len(alive) == len(channels)
+        assert len(alive) == 2 * len(channels)
         assert all(ref() is None for ref in alive)
+
+
+# channels whose data have different signature tables (24 rows and 6)
+MIXED_TABLES = [{"alpha": 0.8, "beta": 0.3}, {"alpha": 1e-4, "beta": 1e-4}]
+
+
+def _lockstep_cases(tmp_path):
+    """(label, resolved config) of every channel lockstep case."""
+    fig5 = preset_config("paper-fig5")
+    return {
+        "fig5-desk": {**fig5, "output_dir": str(tmp_path)},
+        "mixed-tables": small_config(
+            tmp_path,
+            true_params=MIXED_TABLES,
+            schedule=fig5["schedule"],
+            starts=[{"alpha": 0.6, "beta": 0.5}] * 2,
+        ),
+        "heuristic": small_config(
+            tmp_path,
+            true_params=fig5["true_params"],
+            schedule=fig5["schedule"],
+            starts={"heuristic_count": 1},
+        ),
+        # the channels stop at different iterates
+        "tolerance": {
+            **fig5,
+            "output_dir": str(tmp_path),
+            "observed_slots": 5000,
+            "em": {**fig5["em"], "param_tolerance": 1e-6},
+        },
+    }
+
+
+class TestChannelLockstep:
+    """multichannel and rank fit all channels in one lockstep, each as alone."""
+
+    @pytest.mark.parametrize("command", [cmd_multichannel, cmd_rank])
+    @pytest.mark.parametrize(
+        "case", ["fig5-desk", "mixed-tables", "heuristic", "tolerance"]
+    )
+    def test_each_channel_equals_its_fit_alone(
+        self, tmp_path, monkeypatch, command, case
+    ):
+        resolved = _lockstep_cases(tmp_path)[case]
+        config = parse_config(resolved)
+        fitted = []
+        real = experiments.run_em_each
+
+        def recorded(datasets, starts, em_config):
+            outcomes = real(datasets, starts, em_config)
+            fitted.append((datasets, starts, em_config, outcomes))
+            return outcomes
+
+        monkeypatch.setattr(experiments, "run_em_each", recorded)
+        command(config, resolved)
+        ((datasets, starts, em_config, outcomes),) = fitted
+        assert len(outcomes) == len(config.true_params)
+        for index, (dataset, start, report) in enumerate(
+            zip(datasets, starts, outcomes)
+        ):
+            histogram = realize_histogram(
+                config.true_params[index],
+                config.schedule,
+                config.observed_slots,
+                config.master_seed,
+                channel_index=index,
+            )
+            assert np.array_equal(histogram.counts, dataset.counts)
+            if isinstance(config.starts, int):
+                eps = em_config.clamp_epsilon
+                assert start == heuristic_starts(histogram, 1, eps)[0]
+            else:
+                assert start == config.starts[index]
+            alone = run_em(histogram, start, em_config)
+            # the trajectory compares its steps and converged_at
+            fields = ("estimate", "iterations_run", "log_likelihood", "trajectory")
+            for field in fields:
+                assert getattr(report, field) == getattr(alone, field), field
+        tables = {dataset.signatures.tobytes() for dataset in datasets}
+        if case == "mixed-tables":
+            assert [len(d.signatures) for d in datasets] == [24, 6]
+        elif case == "tolerance":
+            assert len({report.iterations_run for report in outcomes}) > 1
+        assert len(tables) == (2 if case == "mixed-tables" else 1)
+
+    @pytest.mark.parametrize("command", [cmd_multichannel, cmd_rank])
+    def test_one_kernel_call_per_iterate_for_a_shared_table(
+        self, tmp_path, monkeypatch, command
+    ):
+        from chan_em import em, likelihood
+
+        calls = []
+        original = likelihood.gap_posteriors
+
+        def counted(*args):
+            calls.append(len(args[1]))  # the points
+            return original(*args)
+
+        for module in (likelihood, em):
+            monkeypatch.setattr(module, "gap_posteriors", counted)
+        channels = preset_config("paper-fig5")["true_params"]
+        resolved = small_config(
+            tmp_path,
+            true_params=channels,
+            schedule={"kind": "random-uniform", "support": [1, 2, 3, 4, 5, 6]},
+            starts=[{"alpha": 0.6, "beta": 0.5}] * len(channels),
+            em={"max_iterations": 40},
+        )
+        command(parse_config(resolved), resolved)
+        # max_iterations + 1 lockstep calls for all channels, then one
+        # one-point call per channel to score its truth
+        assert calls == [len(channels)] * 41 + [1] * len(channels)
+
+    @staticmethod
+    def _agreeing_second(tmp_path: Path) -> Path:
+        """A config file whose second channel's heuristic start fails."""
+        resolved = small_config(
+            tmp_path / "out",
+            true_params=[{"alpha": 0.8, "beta": 0.3}, {"alpha": 1e-9, "beta": 0.5}],
+            starts={"heuristic_count": 1},
+        )
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(resolved))
+        return path
+
+    def test_first_failing_channel_decides(self, tmp_path, capsys):
+        # channel 1's observations all agree, so its heuristic start fails
+        # after channel 0 is realized; channel 0 fits, and nothing is written
+        path = self._agreeing_second(tmp_path)
+        for command in ("multichannel", "rank"):
+            assert main([command, "--config", str(path)]) == 3
+            assert capsys.readouterr().err == (
+                "DegenerateObservationsError: all observations agree, "
+                "occupancy line undefined\n"
+            )
+        assert not (tmp_path / "out").exists()
+
+    def test_earlier_channels_fit_error_comes_first(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # every M-step fails, so channel 0's fit fails, and that error is
+        # raised rather than channel 1's start error, which happens earlier
+        from chan_em import em
+
+        def failing(expected, clamp_epsilon=1e-9):
+            raise InsufficientDataError("forced")
+
+        monkeypatch.setattr(em, "m_step", failing)
+        path = self._agreeing_second(tmp_path)
+        assert main(["rank", "--config", str(path)]) == 3
+        assert capsys.readouterr().err == "InsufficientDataError: iteration 1: forced\n"
 
 
 class TestCmdRank:

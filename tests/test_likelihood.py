@@ -364,6 +364,65 @@ class TestBatchedKernel:
                 for got, want in zip(result.as_tuple(), oracle.as_tuple()):
                     assert got == pytest.approx(want, rel=1e-10, abs=1e-12)
 
+    def test_batched_reduction_keeps_one_dataset_bits(self, monkeypatch):
+        # long-gap's data; each point's (1, S) @ (S, 4) and (1, S) @ (S, 1)
+        # reductions, batched with one shared counts row or with a row per
+        # point (twin: the same data, another object), give the bits of the
+        # unbatched (S,) @ (B, S, 4) and (B, 1, S) @ (S,)
+        from chan_em.harness import realize_histogram
+        from chan_em.observation import GapHistogram, ObservationSchedule
+
+        schedule = ObservationSchedule.random_uniform(list(range(100, 801, 100)))
+        dataset = realize_histogram(ChannelParams(0.002, 0.003), schedule, 6000, 0)
+        twin = GapHistogram(*dataset.gap_histogram, dataset.first_state)
+        counts = dataset.gap_plan.counts
+        reduced = []
+        original = likelihood._reduce
+
+        def recorded(batch_counts, blocks):
+            reduced.append(blocks)
+            return original(batch_counts, blocks)
+
+        monkeypatch.setattr(likelihood, "_reduce", recorded)
+        rng = np.random.default_rng(53)
+        for _ in range(300):
+            count = int(rng.integers(1, 9))
+            points = [
+                ChannelParams(*map(float, rng.uniform(1e-4, 0.3, size=2)))
+                for _ in range(count)
+            ]
+            batch = gap_posteriors(dataset, points)
+            assert gap_posteriors(dataset, points, [twin] * count) == batch
+            blocks = reduced[-2]
+            prob = blocks[..., 0]
+            expected = counts @ (blocks[..., 1:] / prob[..., None])
+            log_likelihood = np.log(prob)[:, None] @ counts
+            values = log_likelihood.ravel().tolist()
+            assert batch == [
+                GapPosterior(*row, value)
+                for row, value in zip(expected.tolist(), values)
+            ]
+
+    def test_points_reduced_with_their_own_datasets_counts(self, monkeypatch):
+        # datasets with one signature table and different counts: each
+        # point of a shared call gets the result of a call on its own
+        # dataset, also when the batch is split
+        rng = np.random.default_rng(54)
+        times = np.concatenate(([1], 1 + np.cumsum(rng.integers(1, 5, size=300))))
+        datasets = [
+            ObservedDataset(times=times, states=rng.integers(0, 2, size=len(times)))
+            for _ in range(40)
+        ]
+        table = datasets[0].gap_histogram[0]
+        shared = [d for d in datasets if np.array_equal(d.gap_histogram[0], table)]
+        assert len(shared) >= 3
+        assert len({d.gap_histogram[1].tobytes() for d in shared}) == len(shared)
+        points = random_points(rng, len(shared))
+        batch = gap_posteriors(shared[0], points, shared)
+        assert batch == [gap_posterior(d, p) for d, p in zip(shared, points)]
+        monkeypatch.setattr(likelihood, "MAX_BATCH_ROWS", 2 * len(table))
+        assert gap_posteriors(shared[0], points, shared) == batch
+
     @pytest.mark.parametrize("per_call", [1, 2, 3])
     def test_batch_split_over_the_row_limit(self, monkeypatch, per_call):
         rng = np.random.default_rng(52)
@@ -374,9 +433,9 @@ class TestBatchedKernel:
         sizes = []
         original = likelihood._posteriors
 
-        def recorded(plan, chunk):
+        def recorded(plan, counts, chunk):
             sizes.append(len(chunk))
-            return original(plan, chunk)
+            return original(plan, counts, chunk)
 
         monkeypatch.setattr(likelihood, "_posteriors", recorded)
         monkeypatch.setattr(likelihood, "MAX_BATCH_ROWS", per_call * signatures)
