@@ -13,9 +13,9 @@ matrix (Van Loan 1978), formed for all signatures at once by repeated
 squaring in likelihood.gap_posteriors. Its dataset-only arrays are built once
 per dataset (GapData.gap_plan), so one E-step costs the bit loop over
 the signatures, O(signatures x log max gap), and also yields the
-log-likelihood. The M-step is expfam.mle_complete, the complete-data ratio
-estimator, on the expected counts, clamped into the open unit square so
-log-likelihoods stay finite.
+log-likelihood. The M-step is expfam.complete_ratios, the complete-data
+ratio estimator behind mle_complete, on the expected counts, clamped into
+the open unit square so log-likelihoods stay finite.
 
 Every (dataset, start) pair of a call runs in lockstep: each E-M iterate
 makes one e_step call, and so one kernel call, per signature table for the
@@ -24,7 +24,8 @@ each point reduced with its own dataset's counts. run_em is that loop with
 one pair, multi_start with every start of one dataset, and run_em_each with
 one start for each of several datasets, as the multichannel commands fit
 their channels. Each pair stops on its own tolerance and gets exactly the
-iterates, trajectory and errors it would get alone.
+iterates, trajectory and errors it would get alone. Between kernel calls a
+pair's point is a pair of floats; its report is built when it stops.
 
 The fit never sees the true parameters. score_against_truth scores finished
 runs against a known truth, for simulations only.
@@ -34,7 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -44,10 +45,8 @@ from chan_em.errors import (
     DegenerateObservationsError,
     DegenerateParametersError,
 )
-from chan_em.expfam import SufficientStats, mle_complete
+from chan_em.expfam import SufficientStats, complete_ratios
 from chan_em.likelihood import (
-    GapPosterior,
-    gap_posterior,
     gap_posteriors,
     geometric_mean_likelihood,
     # the two noqa names are unused here; bench/tracing.py patches them on em
@@ -141,35 +140,36 @@ class EstimateReport:
 
 def e_step(
     dataset: GapData,
-    params: ChannelParams | Sequence[ChannelParams],
+    params: ChannelParams | Sequence[tuple[float, float]],
     datasets: Sequence[GapData] | None = None,
-) -> GapPosterior | list[GapPosterior]:
+) -> tuple[SufficientStats, float] | tuple[np.ndarray, np.ndarray]:
     """Posterior-expected transition counts under interior parameters.
 
-    At one point, gap_posterior's result: the counts for all gap signatures
-    at once, at a cost of O(signatures x log max gap), and the log_likelihood
-    at params. At a sequence of points, one gap_posteriors call for all of
-    them, one result per point; with `datasets`, one per point and each with
-    dataset's signatures, each point's result is on its own dataset, as
-    gap_posteriors documents. Either form raises the kernel's
-    BoundaryParameterError at a point that is not interior (clamp it first)
-    and its ZeroProbabilityError if a gap probability underflows. The four
-    expectations sum to the spanned transition count up to rounding (each
-    gap contributes g+1 transitions of posterior mass one).
+    At one ChannelParams, a SufficientStats of the counts over all gap
+    signatures, O(signatures x log max gap), and the log-likelihood. At
+    (alpha, beta) pairs, with their `datasets` or not, gap_posteriors'
+    arrays. Either form raises the kernel's BoundaryParameterError at a
+    point that is not interior (clamp it first) and its ZeroProbabilityError
+    if a gap probability underflows. The four expectations sum to the
+    spanned transition count up to rounding (each gap contributes g+1
+    transitions of posterior mass one).
     """
-    if isinstance(params, ChannelParams):
-        return gap_posterior(dataset, params)
-    return gap_posteriors(dataset, params, datasets)
+    if not isinstance(params, ChannelParams):
+        return gap_posteriors(dataset, params, datasets)
+    expected, log_likelihood = gap_posteriors(dataset, [params.as_tuple()])
+    return SufficientStats(*expected[0].tolist()), float(log_likelihood[0])
 
 
-def m_step(expected: SufficientStats, clamp_epsilon: float = 1e-9) -> ChannelParams:
-    """mle_complete on the expected counts, clamped into [eps, 1 - eps].
+def m_step(expected: Sequence[float], clamp_epsilon: float = 1e-9) -> tuple:
+    """(alpha, beta) of the four expected counts, clamped into [eps, 1 - eps].
 
-    The complete-data estimator applied to expected counts is the M-step
-    (Dempster, Laird & Rubin 1977). Raises mle_complete's
-    InsufficientDataError when either expected denominator is zero.
+    The complete-data estimator on expected counts is the M-step (Dempster,
+    Laird & Rubin 1977): bit for bit, mle_complete clamped by
+    ChannelParams.clamped, and its InsufficientDataError.
     """
-    return mle_complete(expected).clamped(clamp_epsilon)
+    alpha, beta = complete_ratios(expected)
+    lo, hi = clamp_epsilon, 1.0 - clamp_epsilon
+    return min(max(alpha, lo), hi), min(max(beta, lo), hi)
 
 
 def relative_error(
@@ -191,16 +191,11 @@ def relative_error(
 
 def _shared_tables(datasets: Sequence[GapData]) -> list[int]:
     """For each dataset, the index of the first dataset with its signatures."""
-    tables: list[int] = []
-    for index, dataset in enumerate(datasets):
-        signatures = dataset.gap_histogram[0]
-        same = (
-            first
-            for first in dict.fromkeys(tables)
-            if np.array_equal(datasets[first].gap_histogram[0], signatures)
-        )
-        tables.append(next(same, index))
-    return tables
+    first: dict[bytes, int] = {}
+    return [
+        first.setdefault(dataset.gap_histogram[0].tobytes(), index)
+        for index, dataset in enumerate(datasets)
+    ]
 
 
 def _lockstep(
@@ -225,7 +220,7 @@ def _lockstep(
     owner = [index for index, points in enumerate(starts) for _ in points]
     origin = [start for points in starts for start in points]
     data = [datasets[index] for index in owner]
-    current = [start.clamped(eps) for start in origin]
+    current = [start.clamped(eps).as_tuple() for start in origin]
     trajectories = [
         EmTrajectory() if config.record_trajectory else None for _ in origin
     ]
@@ -233,19 +228,23 @@ def _lockstep(
     outcomes: list = [None] * len(origin)
     failed: dict[int, ChanEmError] = {}
 
-    def evaluate(pairs: list[int]) -> Iterable[tuple[int, GapPosterior]]:
-        """E-step of pairs whose datasets share one table, less failed ones."""
-        owners = [data[i] for i in pairs]
+    def rows(pairs: list[int], owners: list[GapData] | None = None) -> list:
+        """(pair, counts row, log-likelihood) of pairs on one table, as floats."""
+        points = [current[i] for i in pairs]
+        expected, log_likelihood = e_step(data[pairs[0]], points, owners)
+        return list(zip(pairs, expected.tolist(), log_likelihood.tolist()))
+
+    def evaluate(pairs: list[int]) -> list:
+        """rows() of pairs whose datasets share one table, less failed ones."""
         try:
-            return zip(pairs, e_step(owners[0], [current[i] for i in pairs], owners))
+            return rows(pairs, [data[i] for i in pairs])
         except ChanEmError:
             pass
         # repeated per dataset, so that only the datasets whose own call fails stop
-        done: list[tuple[int, GapPosterior]] = []
+        done = []
         for index in dict.fromkeys(owner[i] for i in pairs):
-            part = [i for i in pairs if owner[i] == index]
             try:
-                done += zip(part, e_step(datasets[index], [current[i] for i in part]))
+                done += rows([i for i in pairs if owner[i] == index])
             except ChanEmError as exc:
                 failed[index] = exc
         return done
@@ -257,36 +256,31 @@ def _lockstep(
     for iteration in range(config.max_iterations + 1):
         running: dict[int, list[int]] = {}
         for table, pairs in live.items():
-            for i, posterior in evaluate(pairs):
+            for i, counts, log_likelihood in evaluate(pairs):
+                alpha, beta = current[i]
                 if trajectories[i] is not None:
                     trajectories[i].steps.append(
-                        TrajectoryStep(
-                            iteration, *current[i].as_tuple(), posterior.log_likelihood
-                        )
+                        TrajectoryStep(iteration, alpha, beta, log_likelihood)
                     )
                 converged = delta[i] < config.param_tolerance
                 if converged or iteration == config.max_iterations:
                     if converged and trajectories[i] is not None:
                         trajectories[i].converged_at = iteration
                     outcomes[i] = EstimateReport(
-                        estimate=current[i],
+                        estimate=ChannelParams(alpha, beta),
                         start=origin[i],
                         iterations_run=iteration,
-                        log_likelihood=posterior.log_likelihood,
+                        log_likelihood=log_likelihood,
                         trajectory=trajectories[i],
                     )
                     continue
                 try:
-                    updated = m_step(posterior, eps)
+                    current[i] = m_step(counts, eps)
                 except ChanEmError as exc:
                     outcomes[i] = type(exc)(f"iteration {iteration + 1}: {exc}")
                     outcomes[i].__cause__ = exc
                     continue
-                delta[i] = max(
-                    abs(updated.alpha - current[i].alpha),
-                    abs(updated.beta - current[i].beta),
-                )
-                current[i] = updated
+                delta[i] = max(abs(current[i][0] - alpha), abs(current[i][1] - beta))
                 running.setdefault(table, []).append(i)
         live = running
         if not live:
@@ -412,8 +406,5 @@ def heuristic_starts(
             "occupancy too extreme for the requested clamp epsilon"
         )
     step = (hi - lo) / (count + 1)
-    starts = []
-    for i in range(1, count + 1):
-        a = lo + i * step
-        starts.append(ChannelParams(a, slope * a).clamped(clamp_epsilon))
-    return starts
+    alphas = (lo + i * step for i in range(1, count + 1))
+    return [ChannelParams(a, slope * a).clamped(clamp_epsilon) for a in alphas]

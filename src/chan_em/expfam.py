@@ -10,13 +10,34 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from chan_em.errors import BoundaryParameterError, InsufficientDataError
 from chan_em.markov import IDLE, OCCUPIED, ChannelParams
 
-_COUNT_SLACK = 1e-9
+_COUNT_SLACK = 1e-9  # relative excess of a switch count that rounding may leave
+
+# check_counts' message per check, in the order the checks run
+_COUNT_ERRORS = (
+    "occ_to_idle must be non-negative", "idle_to_occ must be non-negative",
+    "from_occ must be non-negative", "from_idle must be non-negative",
+    "occ_to_idle cannot exceed from_occ", "idle_to_occ cannot exceed from_idle",
+)
+
+
+def check_counts(rows: np.ndarray) -> None:
+    """SufficientStats' checks on (B, 4) rows of counts, all at once.
+
+    Raises its ValueError for the first failing check of the first failing row.
+    """
+    left = rows[:, 2:]
+    negative = rows < 0
+    exceeds = rows[:, :2] > left + _COUNT_SLACK * np.maximum(1.0, left)
+    if np.count_nonzero(negative) or np.count_nonzero(exceeds):
+        failing = np.hstack([negative, exceeds])
+        raise ValueError(_COUNT_ERRORS[failing[failing.any(axis=1).argmax()].argmax()])
 
 
 @dataclass(frozen=True)
@@ -35,13 +56,7 @@ class SufficientStats:
     from_idle: float
 
     def __post_init__(self) -> None:
-        for name in ("occ_to_idle", "idle_to_occ", "from_occ", "from_idle"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
-        if self.occ_to_idle > self.from_occ + _COUNT_SLACK * max(1.0, self.from_occ):
-            raise ValueError("occ_to_idle cannot exceed from_occ")
-        if self.idle_to_occ > self.from_idle + _COUNT_SLACK * max(1.0, self.from_idle):
-            raise ValueError("idle_to_occ cannot exceed from_idle")
+        check_counts(np.array([self.as_tuple()], dtype=float))
 
     @property
     def total_transitions(self) -> float:
@@ -79,6 +94,16 @@ def count_statistics(sequence: np.ndarray) -> SufficientStats:
     )
 
 
+def complete_ratios(counts: Sequence[float]) -> tuple[float, float]:
+    """mle_complete's (alpha_hat, beta_hat) of counts in SufficientStats' order."""
+    occ_to_idle, idle_to_occ, from_occ, from_idle = counts
+    if from_occ <= 0 or from_idle <= 0:
+        raise InsufficientDataError(
+            "both states must be left at least once to estimate both parameters"
+        )
+    return min(occ_to_idle / from_occ, 1.0), min(idle_to_occ / from_idle, 1.0)
+
+
 def mle_complete(stats: SufficientStats) -> ChannelParams:
     """Maximum-likelihood switch probabilities from complete-data counts.
 
@@ -86,14 +111,7 @@ def mle_complete(stats: SufficientStats) -> ChannelParams:
     returned exactly (boundary ratios like 0/T stay 0). Raises
     InsufficientDataError when either denominator is zero.
     """
-    if stats.from_occ <= 0 or stats.from_idle <= 0:
-        raise InsufficientDataError(
-            "both states must be left at least once to estimate both parameters"
-        )
-    return ChannelParams(
-        min(stats.occ_to_idle / stats.from_occ, 1.0),
-        min(stats.idle_to_occ / stats.from_idle, 1.0),
-    )
+    return ChannelParams(*complete_ratios(stats.as_tuple()))
 
 
 def to_natural(params: ChannelParams) -> NaturalParams:

@@ -16,7 +16,9 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import itertools
 import json
+import math
 from pathlib import Path
 from typing import Any, Iterable, Iterator
 
@@ -34,7 +36,8 @@ from chan_em.em import (
 from chan_em.em import run_em  # noqa: F401  kept for bench/tracing.py
 from chan_em.errors import ChanEmError, ConfigError
 from chan_em.harness.config import ExperimentConfig, config_hash
-from chan_em.likelihood import geometric_mean_likelihood, se_db_between
+from chan_em.likelihood import MAX_BATCH_ROWS, gap_posteriors, geometric_mean_likelihood
+from chan_em.likelihood import se_db_between
 from chan_em.likelihood import squared_error_db  # noqa: F401  kept for bench/tracing.py
 from chan_em.markov import (
     ChannelParams,
@@ -318,11 +321,19 @@ def cmd_se_grid(config: ExperimentConfig, resolved: dict) -> list[Path]:
     # geometric_mean_likelihood's math.exp, not score_against_truth's np.exp:
     # they differ in the last bit on some inputs, and se_grid.csv depends on it
     reference = geometric_mean_likelihood(dataset, truth.clamped(eps))
+    clamped = [min(max(value, eps), 1.0 - eps) for value in values]
+    # the (alpha, beta) cells, alpha-major as written, each with its clamped point
+    grid = zip(
+        itertools.product(values, repeat=2), itertools.product(clamped, repeat=2)
+    )
+    per_call = max(1, MAX_BATCH_ROWS // len(dataset.gap_histogram[0]))
     rows = []
-    for alpha in values:
-        for beta in values:
-            candidate = ChannelParams(alpha, beta).clamped(eps)
-            value = geometric_mean_likelihood(dataset, candidate)
+    # one kernel call a batch, each turned into rows before the next one runs
+    while batch := list(itertools.islice(grid, per_call)):
+        cells, points = zip(*batch)
+        _, log_likelihoods = gap_posteriors(dataset, points)
+        for (alpha, beta), log_likelihood in zip(cells, log_likelihoods.tolist()):
+            value = math.exp(log_likelihood / dataset.num_transitions)
             rows.append((alpha, beta, se_db_between(value, reference)))
     path = _out_dir(config) / "se_grid.csv"
     _write_csv(

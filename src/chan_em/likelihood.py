@@ -8,8 +8,8 @@ many parameter points in one call, each point reduced with its own
 dataset's counts when the datasets share one signature table: the lockstep
 E-M evaluates every live (dataset, start) pair of a table at once, so an
 iterate costs one call per table whatever the number of starts and
-datasets. gap_posterior is its one-point form. gap_posteriors alone checks
-kernel input, and a call fails as a whole, never one point. The
+datasets. It returns arrays, a row per point, and alone checks kernel
+input and output; a call fails as a whole, never one point. The
 brute-force functions recompute the same quantities by summing over every
 completion of the hidden slots; they exist as independent oracles for tests
 and are deliberately naive.
@@ -18,7 +18,6 @@ and are deliberately naive.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -28,7 +27,7 @@ from chan_em.errors import (
     EnumerationLimitError,
     ZeroProbabilityError,
 )
-from chan_em.expfam import SufficientStats
+from chan_em.expfam import SufficientStats, check_counts
 from chan_em.markov import IDLE, OCCUPIED, ChannelParams, transition_matrix
 from chan_em.observation import GapData, ObservedDataset
 
@@ -61,13 +60,6 @@ def n_step_matrix(params: ChannelParams, n: int) -> np.ndarray:
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     return np.linalg.matrix_power(transition_matrix(params), n)
-
-
-@dataclass(frozen=True)
-class GapPosterior(SufficientStats):
-    """Posterior-expected counts plus the log-likelihood that normalized them."""
-
-    log_likelihood: float
 
 
 # Van Loan's M as (row, column, index into P.ravel()) triples: P on the five
@@ -121,13 +113,13 @@ def build_gap_plan(dataset: GapData) -> GapPlan:
 
 def gap_posteriors(
     dataset: GapData,
-    points: Sequence[ChannelParams],
+    points: Sequence[tuple[float, float]],
     datasets: Sequence[GapData] | None = None,
-) -> list[GapPosterior]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Posterior-expected transition counts and log-likelihood at each point.
 
-    The kernel behind gap_posterior, incomplete_log_likelihood and the
-    E-step. It powers the block upper-triangular matrix of Van Loan (1978)
+    The kernel behind incomplete_log_likelihood and the E-step, at (alpha,
+    beta) pairs. It powers the block upper-triangular matrix of Van Loan (1978)
 
         M = [[P, C_01, C_10, C_from0, C_from1], [0, P, 0, 0, 0], ...]
 
@@ -159,9 +151,10 @@ def gap_posteriors(
     clamp). There a gap probability reaches zero only by underflow at
     subnormal parameters, which no clamped point reaches; the call then
     raises one ZeroProbabilityError naming the first such point. Returns
-    one GapPosterior per point, in order.
+    the (B, 4) expected counts, in SufficientStats' order and checked as it
+    checks them, and the (B,) log-likelihoods.
     """
-    if not all(p.is_interior() for p in points):
+    if not all(0.0 < a < 1.0 and 0.0 < b < 1.0 for a, b in points):
         raise BoundaryParameterError(
             "the gap kernel requires 0 < alpha, beta < 1, clamp the point first"
         )
@@ -169,7 +162,7 @@ def gap_posteriors(
     if datasets is not None and all(data is dataset for data in datasets):
         datasets = None  # then one counts row serves every point
     per_call = max(1, MAX_BATCH_ROWS // len(plan.counts))
-    results: list[GapPosterior] = []
+    expected, log_likelihood = np.empty((len(points), 4)), np.empty(len(points))
     for lo in range(0, len(points), per_call):
         hi = lo + per_call
         counts = (
@@ -177,18 +170,17 @@ def gap_posteriors(
             if datasets is None
             else np.array([data.gap_plan.counts for data in datasets[lo:hi]])
         )
-        results += _posteriors(plan, counts, points[lo:hi])
-    return results
+        batch = _posteriors(plan, counts, points[lo:hi])
+        expected[lo:hi], log_likelihood[lo:hi] = batch
+    return expected, log_likelihood
 
 
 def _posteriors(
-    plan: GapPlan, counts: np.ndarray, points: Sequence[ChannelParams]
-) -> list[GapPosterior]:
+    plan: GapPlan, counts: np.ndarray, points: Sequence[tuple[float, float]]
+) -> tuple[np.ndarray, np.ndarray]:
     """One batch of gap_posteriors: the bit loop, then one _reduce call."""
     # entries of transition_matrix(p).ravel(), then 0.0 and 1.0
-    entries = np.array(
-        [(1.0 - p.alpha, p.alpha, p.beta, 1.0 - p.beta, 0.0, 1.0) for p in points]
-    )
+    entries = np.array([(1.0 - a, a, b, 1.0 - b, 0.0, 1.0) for a, b in points])
     power = entries.take(_M_INDEX[:10], axis=1)  # one M per point
     # bit 0 needs no product: a one-hot row times M is that row of M, exactly
     rows = entries.take(plan.first, axis=1)
@@ -202,14 +194,14 @@ def _posteriors(
     blocks = rows.reshape(len(points), -1).take(plan.gather, axis=1)
     positive = blocks[..., 0].all(axis=1)
     if not positive.all():
-        point = points[int(positive.argmin())]
+        alpha, beta = points[int(positive.argmin())]
         raise ZeroProbabilityError(
-            f"an observed gap has probability zero at ({point.alpha}, {point.beta})"
+            f"an observed gap has probability zero at ({alpha}, {beta})"
         )
     return _reduce(counts, blocks)
 
 
-def _reduce(counts: np.ndarray, blocks: np.ndarray) -> list[GapPosterior]:
+def _reduce(counts: np.ndarray, blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Counts and log-likelihood of each point's (S, 5) blocks, all prob > 0.
 
     `counts` holds the signature multiplicities, (S,) for every point or
@@ -220,30 +212,22 @@ def _reduce(counts: np.ndarray, blocks: np.ndarray) -> list[GapPosterior]:
     or its own.
     """
     prob = blocks[..., 0]
-    expected = counts[..., None, :] @ (blocks[..., 1:] / prob[..., None])
+    ratios = blocks[..., 1:] / prob[..., None]
+    expected = (counts[..., None, :] @ ratios).reshape(-1, 4)
     log_likelihood = np.log(prob)[:, None, :] @ counts[..., None]
-    return [
-        GapPosterior(*point, value)
-        for point, value in zip(
-            expected.reshape(-1, 4).tolist(), log_likelihood.ravel().tolist()
-        )
-    ]
-
-
-def gap_posterior(dataset: GapData, params: ChannelParams) -> GapPosterior:
-    """gap_posteriors at one point."""
-    (result,) = gap_posteriors(dataset, (params,))
-    return result
+    check_counts(expected)
+    return expected, log_likelihood.ravel()
 
 
 def incomplete_log_likelihood(dataset: GapData, params: ChannelParams) -> float:
     """Log-probability of the observed states given the first one.
 
     Sum over gaps of log [P^(g+1)]_{a,b}, grouped by gap signature and
-    computed by gap_posterior, whose contract it shares: interior parameters
-    only, and ZeroProbabilityError if a gap probability underflows.
+    computed by gap_posteriors, whose contract it shares: interior
+    parameters only, and ZeroProbabilityError if a gap probability underflows.
     """
-    return gap_posterior(dataset, params).log_likelihood
+    _, log_likelihood = gap_posteriors(dataset, [params.as_tuple()])
+    return float(log_likelihood[0])
 
 
 def geometric_mean_likelihood(dataset: GapData, params: ChannelParams) -> float:

@@ -42,13 +42,8 @@ class ChannelParams:
         return (self.alpha, self.beta)
 
     def clamped(self, epsilon: float) -> ChannelParams:
-        """Both probabilities pushed into [epsilon, 1 - epsilon].
-
-        Self when both already lie there, so an M-step builds no second object.
-        """
+        """Both probabilities pushed into [epsilon, 1 - epsilon]."""
         lo, hi = epsilon, 1.0 - epsilon
-        if lo <= self.alpha <= hi and lo <= self.beta <= hi:
-            return self
         return ChannelParams(
             min(max(self.alpha, lo), hi),
             min(max(self.beta, lo), hi),

@@ -36,8 +36,8 @@ def kernel_calls(monkeypatch):
     """Every parameter point the gap kernel evaluates, in call order.
 
     Patches gap_posteriors, which every kernel call goes through (a
-    one-point gap_posterior call included), at each module that binds it;
-    a batched call records each of its points.
+    one-point call included), at each module that binds it; a batched call
+    records each of its (alpha, beta) points as a ChannelParams.
     """
     from chan_em import em, likelihood
     from chan_em.harness import experiments
@@ -46,7 +46,7 @@ def kernel_calls(monkeypatch):
     original = likelihood.gap_posteriors
 
     def counted(dataset, points, datasets=None):
-        calls.extend(points)
+        calls.extend(ChannelParams(*point) for point in points)
         return original(dataset, points, datasets)
 
     for module in (likelihood, em, experiments):

@@ -11,7 +11,9 @@ It exits 1, after printing what failed, when
    each run through all six commands by cli.main, returns a code other than
    0, 2, 3 or 4, raises, or takes SECONDS_PER_CALL or longer; or
 2. realize_histogram at the budget's limit, MAX_SIMULATED_SLOTS observations
-   with every slot observed, traces a tracemalloc peak over its bound.
+   with every slot observed, traces a tracemalloc peak over its bound; or
+3. a run_em trajectory of TRAJECTORY_ITERATIONS recorded steps holds more
+   than TRAJECTORY_STEP_BYTES a step under tracemalloc.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from chan_em import ChannelParams, ObservationSchedule
+from chan_em import ChannelParams, EmConfig, ObservationSchedule, run_em
 from chan_em.harness import cli, realize_histogram
 from chan_em.harness.config import MAX_SIMULATED_SLOTS
 from test_fuzz import SECONDS_PER_CALL, draw_config
@@ -43,6 +45,11 @@ EXIT_CODES = (cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_NUMERICAL, cli.EXIT_IO)
 # 27.6 MiB at (1, 1), whose 2.5e7 first-state sojourns the sampler keeps at
 # 1 B each (master seed 0, 2-vCPU x86-64, numpy 2.4)
 PEAK_MIB = {(0.8, 0.3): 16, (1.0, 1.0): 32}
+# bytes a recorded trajectory step holds: 192.3 B traced at 2e4 iterations
+# and 191.9 B at 1e5 (1 start, skip 4, 1000 observations, 2-vCPU x86-64,
+# Python 3.11), the same per step as the README's budget paragraph states
+TRAJECTORY_ITERATIONS = 20_000
+TRAJECTORY_STEP_BYTES = 200
 
 
 def fuzz(failures: list[str]) -> Counter:
@@ -87,6 +94,24 @@ def traced_peak(alpha: float, beta: float) -> tuple[int, float]:
     return peak, took
 
 
+def trajectory_step_bytes() -> tuple[float, float]:
+    """Bytes held per recorded step, and seconds, of one run_em trajectory."""
+    dataset = realize_histogram(
+        ChannelParams(0.8, 0.3), ObservationSchedule.fixed(4), 1000, 0
+    )
+    config = EmConfig(max_iterations=TRAJECTORY_ITERATIONS, record_trajectory=True)
+    run_em(dataset, ChannelParams(0.6, 0.5), EmConfig(max_iterations=1))  # plan
+    tracemalloc.start()
+    began = time.perf_counter()
+    try:
+        report = run_em(dataset, ChannelParams(0.6, 0.5), config)
+        took = time.perf_counter() - began
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return held / len(report.trajectory.steps), took
+
+
 def main() -> int:
     # as tier-1 runs the commands (pyproject.toml's filterwarnings)
     warnings.simplefilter("error", RuntimeWarning)
@@ -101,6 +126,11 @@ def main() -> int:
               f"slots: peak {peak / 2**20:.1f} MiB (bound {bound}) in {took:.1f} s")
         if peak > bound * 2**20:
             failures.append(f"({alpha}, {beta}) peak {peak / 2**20:.1f} MiB > {bound}")
+    per_step, took = trajectory_step_bytes()
+    print(f"trajectory of {TRAJECTORY_ITERATIONS} iterations: {per_step:.1f} B a "
+          f"recorded step (bound {TRAJECTORY_STEP_BYTES}) in {took:.1f} s")
+    if per_step > TRAJECTORY_STEP_BYTES:
+        failures.append(f"trajectory {per_step:.1f} B a step > {TRAJECTORY_STEP_BYTES}")
     for failure in failures:
         print(f"FAIL {failure}")
     return 1 if failures else 0

@@ -47,7 +47,7 @@ class TestEStep:
         rng = np.random.default_rng(20)
         states = rng.integers(0, 2, size=40)
         dataset = ObservedDataset(times=np.arange(1, 41), states=states)
-        expected = e_step(dataset, ChannelParams(0.37, 0.81))
+        expected, _ = e_step(dataset, ChannelParams(0.37, 0.81))
         counted = count_statistics(states)
         assert expected.as_tuple() == pytest.approx(counted.as_tuple(), abs=1e-12)
 
@@ -55,10 +55,10 @@ class TestEStep:
         rng = np.random.default_rng(21)
         for _ in range(40):
             dataset, params = random_small_instance(rng)
-            fast = e_step(dataset, params)
+            fast, log_likelihood = e_step(dataset, params)
             slow = brute_force_expected_stats(dataset, params)
             assert fast.as_tuple() == pytest.approx(slow.as_tuple(), abs=1e-10)
-            assert fast.log_likelihood == incomplete_log_likelihood(dataset, params)
+            assert log_likelihood == incomplete_log_likelihood(dataset, params)
 
     def test_mass_conservation(self):
         # expected transition counts always add up to the spanned window
@@ -66,14 +66,14 @@ class TestEStep:
         seq = simulate_chain(ChannelParams(0.8, 0.3), 50_000, seed=31)
         dataset = observe(seq, sched)
         for params in (ChannelParams(0.5, 0.5), ChannelParams(0.9, 0.1)):
-            expected = e_step(dataset, params)
+            expected, _ = e_step(dataset, params)
             assert expected.total_transitions == pytest.approx(
                 dataset.num_transitions, abs=1e-9
             )
         # two gaps of 10^6 hidden slots: the cost grows with log gap length
         long_gaps = ObservedDataset(times=[1, 1_000_002, 2_000_003], states=[0, 1, 1])
         for params in (ChannelParams(0.5, 0.5), ChannelParams(0.9, 0.1)):
-            expected = e_step(long_gaps, params)
+            expected, _ = e_step(long_gaps, params)
             assert expected.total_transitions == pytest.approx(
                 long_gaps.num_transitions, rel=1e-12
             )
@@ -86,24 +86,60 @@ class TestEStep:
 
 class TestMStep:
     def test_ratio(self):
-        est = m_step(in_stats(30.0, 10.0, 100.0, 50.0))
-        assert est.alpha == pytest.approx(0.3, abs=1e-15)
-        assert est.beta == pytest.approx(0.2, abs=1e-15)
+        alpha, beta = m_step((30.0, 10.0, 100.0, 50.0))
+        assert alpha == pytest.approx(0.3, abs=1e-15)
+        assert beta == pytest.approx(0.2, abs=1e-15)
 
     def test_clamps_boundaries(self):
-        est = m_step(in_stats(0.0, 50.0, 100.0, 50.0), clamp_epsilon=1e-6)
-        assert est.alpha == 1e-6
-        assert est.beta == 1.0 - 1e-6
+        assert m_step((0.0, 50.0, 100.0, 50.0), clamp_epsilon=1e-6) == (
+            1e-6, 1.0 - 1e-6
+        )
 
     def test_empty_denominator(self):
         with pytest.raises(InsufficientDataError):
-            m_step(in_stats(0.0, 1.0, 0.0, 5.0))
+            m_step((0.0, 1.0, 0.0, 5.0))
 
     def test_count_slack_clamps_to_one_minus_eps(self):
         # SufficientStats admits occ_to_idle above from_occ by under _COUNT_SLACK
-        est = m_step(in_stats(100.00000005, 10.0, 100.0, 50.0), clamp_epsilon=1e-6)
-        assert est.alpha == 1.0 - 1e-6
-        assert est.beta == 0.2
+        row = in_stats(100.00000005, 10.0, 100.0, 50.0).as_tuple()
+        assert m_step(row, clamp_epsilon=1e-6) == (1.0 - 1e-6, 0.2)
+
+    def test_equals_clamped_mle_bit_for_bit(self):
+        # the loop's float M-step is mle_complete's estimate, clamped, on
+        # kernel rows, on a row within the count slack and at a boundary
+        rng = np.random.default_rng(23)
+        rows = []
+        for _ in range(50):
+            dataset, params = random_small_instance(rng)
+            expected, _ = e_step(dataset, [params.as_tuple(), (1e-9, 1 - 1e-9)])
+            rows += expected.tolist()
+        rows += [(100.00000005, 10.0, 100.0, 50.0), (0.0, 50.0, 100.0, 50.0)]
+        for eps in (1e-9, 1e-6, 2**-53):
+            for row in rows:
+                clamped = mle_complete(in_stats(*row)).clamped(eps)
+                assert m_step(row, eps) == clamped.as_tuple()
+        assert m_step(rows[-2], 1e-6)[0] == 1.0 - 1e-6
+
+    def test_zero_denominator_stops_the_run_with_its_iteration(self, monkeypatch):
+        from chan_em import em
+
+        # the second update's counts leave the occupied state zero times
+        rows = []
+
+        def emptied(expected, clamp_epsilon=1e-9):
+            rows.append(list(expected))
+            if len(rows) == 2:
+                expected = [0.0, expected[1], 0.0, expected[3]]
+            return m_step(expected, clamp_epsilon)
+
+        monkeypatch.setattr(em, "m_step", emptied)
+        dataset = ObservedDataset(times=[1, 3, 6, 7], states=[0, 1, 0, 0])
+        with pytest.raises(InsufficientDataError) as info:
+            run_em(dataset, ChannelParams(0.4, 0.4), EmConfig(max_iterations=5))
+        with pytest.raises(InsufficientDataError) as direct:
+            mle_complete(in_stats(0.0, rows[1][1], 0.0, rows[1][3]))
+        assert str(info.value) == f"iteration 2: {direct.value}"
+        assert str(info.value.__cause__) == str(direct.value)
 
     def test_complete_data_fixed_point(self):
         # starting anywhere, one E-M round on complete data lands on the MLE
@@ -115,9 +151,10 @@ class TestMStep:
             anywhere = ChannelParams(
                 float(rng.uniform(0.05, 0.95)), float(rng.uniform(0.05, 0.95))
             )
-            one_round = m_step(e_step(dataset, anywhere))
-            assert one_round.alpha == pytest.approx(truth_mle.alpha, abs=1e-12)
-            assert one_round.beta == pytest.approx(truth_mle.beta, abs=1e-12)
+            expected, _ = e_step(dataset, anywhere)
+            alpha, beta = m_step(expected.as_tuple())
+            assert alpha == pytest.approx(truth_mle.alpha, abs=1e-12)
+            assert beta == pytest.approx(truth_mle.beta, abs=1e-12)
 
 
 def in_stats(t01: float, t10: float, n0: float, n1: float):
@@ -204,9 +241,10 @@ class TestRunEm:
             EmConfig(max_iterations=5000, param_tolerance=1e-12),
         )
         theta = report.estimate
-        refreshed = m_step(e_step(dataset, theta))
-        assert refreshed.alpha == pytest.approx(theta.alpha, abs=1e-8)
-        assert refreshed.beta == pytest.approx(theta.beta, abs=1e-8)
+        expected, _ = e_step(dataset, theta)
+        alpha, beta = m_step(expected.as_tuple())
+        assert alpha == pytest.approx(theta.alpha, abs=1e-8)
+        assert beta == pytest.approx(theta.beta, abs=1e-8)
 
     def test_fixed_point_matches_direct_maximization(self):
         # independent oracle: derivative-free maximization of the incomplete
@@ -407,7 +445,7 @@ class TestLockstep:
 
         def failing(expected, clamp_epsilon=1e-9):
             updated = m_step(expected, clamp_epsilon)
-            if updated.alpha > 0.85:  # start 1 at iteration 10, start 2 at 1
+            if updated[0] > 0.85:  # start 1 at iteration 10, start 2 at 1
                 raise InsufficientDataError("update left the test region")
             return updated
 

@@ -905,9 +905,50 @@ class TestCmdSeGrid:
         config = parse_config(resolved)
         path = cmd_se_grid(config, resolved)[0]
         assert len(data_rows(path)) == 25
-        # one kernel call per grid point plus one for the truth
+        # one kernel point per grid point, plus the truth's, evaluated first
         assert len(kernel_calls) == 26
         assert kernel_calls[0] == config.single_channel().clamped(config.em.clamp_epsilon)
+
+    def test_grid_in_row_limited_kernel_calls(self, tmp_path, monkeypatch):
+        # one kernel call per MAX_BATCH_ROWS point-signature rows, and the
+        # values of one call per point
+        from chan_em import em, likelihood
+        from chan_em.likelihood import geometric_mean_likelihood, se_db_between
+
+        resolved = small_config(tmp_path, observed_slots=200, grid={"step": 0.25})
+        config = parse_config(resolved)
+        dataset = experiments._channel_dataset(config)
+        signatures = len(dataset.gap_histogram[0])
+        calls = []
+        original = likelihood.gap_posteriors
+
+        def counted(data, points, datasets=None):
+            calls.append(len(points))
+            return original(data, points, datasets)
+
+        for module in (likelihood, em, experiments):
+            if "gap_posteriors" in vars(module):
+                monkeypatch.setattr(module, "gap_posteriors", counted)
+        monkeypatch.setattr(experiments, "MAX_BATCH_ROWS", 7 * signatures)
+        rows = data_rows(cmd_se_grid(config, resolved)[0])
+        assert calls == [1, 7, 7, 7, 4]
+        eps = config.em.clamp_epsilon
+        reference = geometric_mean_likelihood(dataset, config.single_channel())
+        for alpha, beta, se_db in rows:
+            point = ChannelParams(float(alpha), float(beta)).clamped(eps)
+            value = geometric_mean_likelihood(dataset, point)
+            assert float(se_db) == se_db_between(value, reference)
+
+    def test_grid_value_rounded_past_one_is_clamped(self, tmp_path):
+        # lo + 7 * step lands on 1.0000000000000002, inside the grid's tiling
+        # tolerance; that point is clamped to 1 - eps like 1.0 itself
+        grid = {"step": 0.1285714285714286, "bounds": [0.1, 1.0]}
+        resolved = small_config(tmp_path, observed_slots=200, grid=grid)
+        config = parse_config(resolved)
+        assert config.grid.values()[-1] > 1.0
+        rows = data_rows(cmd_se_grid(config, resolved)[0])
+        assert len(rows) == 64
+        assert rows[-1][:2] == ["1.0000000000000002"] * 2
 
 
 @pytest.fixture(scope="module")

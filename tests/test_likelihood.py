@@ -30,10 +30,8 @@ from chan_em import (
     se_db_between,
     transition_matrix,
 )
-from chan_em import likelihood
+from chan_em import SufficientStats, likelihood
 from chan_em.likelihood import (
-    GapPosterior,
-    gap_posterior,
     gap_posteriors,
     squared_error_db,
     transition_powers,
@@ -127,9 +125,9 @@ class TestIncompleteLogLikelihood:
         dataset = ObservedDataset(times=[1, 2, 4], states=[1, 0, 1])
         corner = ChannelParams(1.0, 1.0)
         with pytest.raises(BoundaryParameterError):
-            gap_posterior(dataset, corner)
+            e_step(dataset, corner)
         with pytest.raises(BoundaryParameterError):
-            gap_posteriors(dataset, [corner])
+            gap_posteriors(dataset, [corner.as_tuple()])
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(15)
@@ -200,24 +198,40 @@ class TestBruteForce:
             brute_force_likelihood(dataset, ChannelParams(0.5, 0.5))
 
 
+def fields(
+    result: tuple[np.ndarray, np.ndarray],
+) -> list[tuple[float, float, float, float, float]]:
+    """The kernel's arrays as one row per point: four counts, log-likelihood."""
+    expected, log_likelihood = result
+    assert expected.shape == (len(log_likelihood), 4)
+    assert log_likelihood.shape == (len(expected),)
+    rows = zip(expected.tolist(), log_likelihood.tolist())
+    return [(*row, value) for row, value in rows]
+
+
+def pairs(points: list[ChannelParams]) -> list[tuple[float, float]]:
+    return [point.as_tuple() for point in points]
+
+
 def posterior_fields(dataset: ObservedDataset, params: ChannelParams) -> tuple:
-    result = gap_posterior(dataset, params)
-    return (*result.as_tuple(), result.log_likelihood)
+    """The kernel's row 0 at one point."""
+    (row,) = fields(gap_posteriors(dataset, [params.as_tuple()]))
+    return row
 
 
 def assert_matches_oracles(dataset: ObservedDataset, params: ChannelParams) -> None:
     """Kernel against n_step_matrix (single gap) and both enumeration oracles."""
-    result = gap_posterior(dataset, params)
+    *counts, log_likelihood = posterior_fields(dataset, params)
     if dataset.num_observations == 2:
         (a, b), steps = dataset.states, int(dataset.times[1]) - 1
-        assert math.exp(result.log_likelihood) == pytest.approx(
+        assert math.exp(log_likelihood) == pytest.approx(
             n_step_matrix(params, steps)[a, b], rel=1e-12
         )
-    assert math.exp(result.log_likelihood) == pytest.approx(
+    assert math.exp(log_likelihood) == pytest.approx(
         brute_force_likelihood(dataset, params), rel=1e-10
     )
     oracle = brute_force_expected_stats(dataset, params)
-    for got, want in zip(result.as_tuple(), oracle.as_tuple()):
+    for got, want in zip(counts, oracle.as_tuple()):
         assert got == pytest.approx(want, rel=1e-10, abs=1e-12)
 
 
@@ -297,7 +311,7 @@ class TestGapPlan:
             for b in (0, 1):
                 dataset = ObservedDataset(times=[1, hidden + 2], states=[a, b])
                 for params in self.PARAMS:
-                    value = math.exp(gap_posterior(dataset, params).log_likelihood)
+                    value = math.exp(posterior_fields(dataset, params)[4])
                     assert value == pytest.approx(
                         n_step_matrix(params, hidden + 1)[a, b], rel=1e-12
                     )
@@ -343,25 +357,25 @@ class TestBatchedKernel:
             dataset = ObservedDataset(times=times, states=rng.integers(0, 2, size=200))
             for count in (1, 2, 3, 8):
                 points = random_points(rng, count)
-                batch = gap_posteriors(dataset, points)
-                assert batch == [gap_posterior(dataset, p) for p in points]
-                assert [(*r.as_tuple(), r.log_likelihood) for r in batch] == [
-                    unbatched_posterior(dataset, p) for p in points
-                ]
+                batch = fields(gap_posteriors(dataset, pairs(points)))
+                assert batch == [posterior_fields(dataset, p) for p in points]
+                assert batch == [unbatched_posterior(dataset, p) for p in points]
                 # and no point depends on its neighbours in the batch
-                assert gap_posteriors(dataset, points[::-1]) == batch[::-1]
+                reverse = fields(gap_posteriors(dataset, pairs(points[::-1])))
+                assert reverse == batch[::-1]
 
     def test_matches_oracles(self):
         rng = np.random.default_rng(51)
         for _ in range(30):
             dataset, _ = random_small_instance(rng)
             points = random_points(rng, int(rng.integers(2, 6)))
-            for point, result in zip(points, gap_posteriors(dataset, points)):
-                assert math.exp(result.log_likelihood) == pytest.approx(
+            batch = fields(gap_posteriors(dataset, pairs(points)))
+            for point, (*counts, log_likelihood) in zip(points, batch):
+                assert math.exp(log_likelihood) == pytest.approx(
                     brute_force_likelihood(dataset, point), rel=1e-10
                 )
                 oracle = brute_force_expected_stats(dataset, point)
-                for got, want in zip(result.as_tuple(), oracle.as_tuple()):
+                for got, want in zip(counts, oracle.as_tuple()):
                     assert got == pytest.approx(want, rel=1e-10, abs=1e-12)
 
     def test_batched_reduction_keeps_one_dataset_bits(self, monkeypatch):
@@ -388,20 +402,16 @@ class TestBatchedKernel:
         for _ in range(300):
             count = int(rng.integers(1, 9))
             points = [
-                ChannelParams(*map(float, rng.uniform(1e-4, 0.3, size=2)))
+                tuple(map(float, rng.uniform(1e-4, 0.3, size=2)))
                 for _ in range(count)
             ]
-            batch = gap_posteriors(dataset, points)
-            assert gap_posteriors(dataset, points, [twin] * count) == batch
+            batch = fields(gap_posteriors(dataset, points))
+            assert fields(gap_posteriors(dataset, points, [twin] * count)) == batch
             blocks = reduced[-2]
             prob = blocks[..., 0]
             expected = counts @ (blocks[..., 1:] / prob[..., None])
             log_likelihood = np.log(prob)[:, None] @ counts
-            values = log_likelihood.ravel().tolist()
-            assert batch == [
-                GapPosterior(*row, value)
-                for row, value in zip(expected.tolist(), values)
-            ]
+            assert batch == fields((expected, log_likelihood.ravel()))
 
     def test_points_reduced_with_their_own_datasets_counts(self, monkeypatch):
         # datasets with one signature table and different counts: each
@@ -418,17 +428,17 @@ class TestBatchedKernel:
         assert len(shared) >= 3
         assert len({d.gap_histogram[1].tobytes() for d in shared}) == len(shared)
         points = random_points(rng, len(shared))
-        batch = gap_posteriors(shared[0], points, shared)
-        assert batch == [gap_posterior(d, p) for d, p in zip(shared, points)]
+        batch = fields(gap_posteriors(shared[0], pairs(points), shared))
+        assert batch == [posterior_fields(d, p) for d, p in zip(shared, points)]
         monkeypatch.setattr(likelihood, "MAX_BATCH_ROWS", 2 * len(table))
-        assert gap_posteriors(shared[0], points, shared) == batch
+        assert fields(gap_posteriors(shared[0], pairs(points), shared)) == batch
 
     @pytest.mark.parametrize("per_call", [1, 2, 3])
     def test_batch_split_over_the_row_limit(self, monkeypatch, per_call):
         rng = np.random.default_rng(52)
         dataset, _ = random_small_instance(rng)
-        points = random_points(rng, 7)
-        whole = gap_posteriors(dataset, points)
+        points = pairs(random_points(rng, 7))
+        whole = fields(gap_posteriors(dataset, points))
         signatures = len(dataset.gap_histogram[0])
         sizes = []
         original = likelihood._posteriors
@@ -439,43 +449,74 @@ class TestBatchedKernel:
 
         monkeypatch.setattr(likelihood, "_posteriors", recorded)
         monkeypatch.setattr(likelihood, "MAX_BATCH_ROWS", per_call * signatures)
-        split = gap_posteriors(dataset, points)
+        split = fields(gap_posteriors(dataset, points))
         assert split == whole
         assert sizes == {1: [1] * 7, 2: [2, 2, 2, 1], 3: [3, 3, 1]}[per_call]
-        for point, result in zip(points, split):
-            assert math.exp(result.log_likelihood) == pytest.approx(
-                brute_force_likelihood(dataset, point), rel=1e-10
+        for point, row in zip(points, split):
+            assert math.exp(row[4]) == pytest.approx(
+                brute_force_likelihood(dataset, ChannelParams(*point)), rel=1e-10
             )
 
     def test_underflow_fails_the_call(self):
         # at a subnormal beta, staying occupied over 2**40 + 1 steps underflows
         dataset = ObservedDataset(times=[1, 2 + 2**40], states=[0, 0])
-        points = [ChannelParams(0.5, 0.5), ChannelParams(0.5, 5e-324)]
+        points = [(0.5, 0.5), (0.5, 5e-324)]
         with pytest.raises(ZeroProbabilityError, match=r"at \(0\.5, 5e-324\)$"):
             gap_posteriors(dataset, points)
 
     def test_results_satisfy_sufficient_stats_checks(self):
         # SufficientStats' checks must hold on every kernel result, up to the
         # unit square's corners
-        corners = [ChannelParams(1e-9, 1e-9), ChannelParams(1 - 1e-9, 1 - 1e-9)]
+        corners = [(1e-9, 1e-9), (1 - 1e-9, 1 - 1e-9)]
         rng = np.random.default_rng(53)
         for _ in range(100):
             dataset, params = random_small_instance(rng)
-            for result in gap_posteriors(dataset, [params, *corners]):
-                assert type(result) is GapPosterior
+            expected, _ = gap_posteriors(dataset, [params.as_tuple(), *corners])
+            assert expected.dtype == np.float64
+            for row in expected.tolist():
                 # the constructor runs the checks, and raises if one fails
-                checked = GapPosterior(*result.as_tuple(), result.log_likelihood)
-                assert checked == result and vars(checked) == vars(result)
+                assert SufficientStats(*row).as_tuple() == tuple(row)
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ((-1e-3, 0.0, 2.0, 2.0), "occ_to_idle must be non-negative"),
+            ((0.0, 0.0, 2.0, -1e-3), "from_idle must be non-negative"),
+            ((2.0 + 3e-9, 0.0, 2.0, 2.0), "occ_to_idle cannot exceed from_occ"),
+            ((0.0, 1e-6, 0.0, 0.0), "idle_to_occ cannot exceed from_idle"),
+        ],
+    )
+    def test_bad_counts_row_raises_sufficient_stats_message(self, row, message):
+        # blocks of one signature, count 1, whose reduced row is `row`:
+        # (prob, then prob times each count)
+        good = [0.5, 0.25, 0.25, 0.5, 0.5]
+        bad = [0.5, *(0.5 * count for count in row)]
+        counts = np.ones(1)
+        with pytest.raises(ValueError) as direct:
+            SufficientStats(*row)
+        assert str(direct.value) == message
+        # the first failing point decides, whatever follows it
+        for blocks in ([[good], [bad]], [[bad], [bad], [good]]):
+            with pytest.raises(ValueError) as reduced:
+                likelihood._reduce(counts, np.array(blocks))
+            assert str(reduced.value) == message
+        # within the slack, the same row of a point passes
+        slack = np.array([[[1.0, 1.0 + 5e-10, 0.0, 1.0, 1.0]]])
+        expected, _ = likelihood._reduce(counts, slack)
+        assert expected.tolist() == [[1.0 + 5e-10, 0.0, 1.0, 1.0]]
 
     def test_e_step_batches_interior_points_only(self):
         dataset = ObservedDataset(times=[1, 3, 4], states=[0, 1, 1])
         points = [ChannelParams(0.4, 0.6), ChannelParams(0.7, 0.2)]
-        assert e_step(dataset, points) == [e_step(dataset, p) for p in points]
+        one_point = [e_step(dataset, p) for p in points]
+        assert fields(e_step(dataset, pairs(points))) == [
+            (*stats.as_tuple(), log_likelihood) for stats, log_likelihood in one_point
+        ]
         for boundary in (ChannelParams(0.0, 0.5), ChannelParams(1.0, 1.0)):
             with pytest.raises(BoundaryParameterError):
-                e_step(dataset, [ChannelParams(0.4, 0.6), boundary])
+                e_step(dataset, pairs([ChannelParams(0.4, 0.6), boundary]))
             with pytest.raises(BoundaryParameterError):
-                gap_posteriors(dataset, [ChannelParams(0.4, 0.6), boundary])
+                gap_posteriors(dataset, pairs([ChannelParams(0.4, 0.6), boundary]))
 
 
 def exact_gap_values(alpha: float, beta: float, hidden_lengths: list[int]) -> dict:
@@ -548,7 +589,7 @@ class TestExactNearBoundary:
             assert n_step_matrix(params, g + 1)[a, b] == pytest.approx(
                 prob, rel=1e-12
             ), where
-            fast = e_step(dataset, params).as_tuple()
+            fast = e_step(dataset, params)[0].as_tuple()
             for got, want in zip(fast, counts):
                 if want == 0.0:
                     assert got == 0.0, where
@@ -570,12 +611,11 @@ class TestExactNearBoundary:
                 for a in (0, 1):
                     for b in (0, 1):
                         dataset = ObservedDataset(times=[1, g + 2], states=[a, b])
-                        results = gap_posteriors(dataset, points)
-                        for point, result in zip(points, results):
+                        results = fields(gap_posteriors(dataset, pairs(points)))
+                        for point, values in zip(points, results):
                             where = f"gap {a}->{b}, {g} hidden, at {point}"
-                            values = (*result.as_tuple(), result.log_likelihood)
                             assert all(map(math.isfinite, values)), where
-                            assert math.exp(result.log_likelihood) > 2.2e-308, where
+                            assert math.exp(values[4]) > 2.2e-308, where
 
 
 class TestSquaredErrorDb:

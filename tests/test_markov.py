@@ -104,7 +104,7 @@ class TestChannelParams:
         assert p.beta == 1.0 - 1e-6
         assert ChannelParams(0.3, 0.4).clamped(1e-6) == ChannelParams(0.3, 0.4)
         inside = ChannelParams(1e-6, 1.0 - 1e-6)
-        assert inside.clamped(1e-6) is inside
+        assert inside.clamped(1e-6) == inside
 
     def test_interior(self):
         assert ChannelParams(0.5, 0.5).is_interior()
