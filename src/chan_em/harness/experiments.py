@@ -19,6 +19,8 @@ import dataclasses
 import itertools
 import json
 import math
+import os
+import threading
 from pathlib import Path
 from typing import Any, Iterable, Iterator
 
@@ -127,10 +129,9 @@ def realize_histogram(
     """realize_runs' channel, straight into its gap histogram.
 
     The same histogram and counts as realize_dataset(...)[0], but no slot
-    sequence, slot index or observed state is held: memory is the
-    schedule's picks (1 B an observation for up to 256 support entries),
-    the sampler's kept first-state sojourns (1 B each at fig5's truths) and
-    one block of each stage.
+    sequence, slot index, observed state or schedule pick is held: memory
+    is the sampler's kept first-state sojourns (1 B each at fig5's truths)
+    and one block of each stage.
     """
     args = (truth, schedule, num_observations, master_seed, channel_index)
     return GapHistogram.observe(*realize_runs(*args))
@@ -346,7 +347,7 @@ def cmd_se_grid(config: ExperimentConfig, resolved: dict) -> list[Path]:
 def _estimate_channels(config: ExperimentConfig) -> list[EstimateReport]:
     """Simulate, observe, and estimate every configured channel.
 
-    The channels are realized in order, each in its own frame, and only
+    The channels are realized two at a time (_realize_channels), and only
     their gap histograms are kept; all of them are then fitted in one
     lockstep (run_em_each) and scored in order. The first channel to fail,
     in channel order, raises its error, as when each channel was realized,
@@ -368,17 +369,9 @@ def _estimate_channels(config: ExperimentConfig) -> list[EstimateReport]:
             f"got {len(config.starts)} starts for {len(channels)} channels"
         )
     _check_truths(channels)
-    datasets: list[GapHistogram] = []
-    starts: list[ChannelParams] = []
-    stopped: ChanEmError | None = None
-    for index in range(len(channels)):
-        try:
-            dataset, start = _realize_channel(config, index, 0 if heuristic else index)
-        except ChanEmError as exc:
-            stopped = exc
-            break
-        datasets.append(dataset)
-        starts.append(start)
+    realized, stopped = _realize_channels(config, heuristic)
+    datasets = [dataset for dataset, _ in realized]
+    starts = [start for _, start in realized]
     reports = []
     for dataset, truth, outcome in zip(
         datasets, channels, run_em_each(datasets, starts, config.em)
@@ -392,13 +385,86 @@ def _estimate_channels(config: ExperimentConfig) -> list[EstimateReport]:
     return reports
 
 
+def _realize_channels(
+    config: ExperimentConfig, heuristic: bool
+) -> tuple[list[tuple[GapHistogram, ChannelParams]], ChanEmError | None]:
+    """Each channel's gap histogram and start, in channel order, up to the
+    first channel whose realization or start fails, and that ChanEmError.
+
+    The main thread and, where more than one CPU is usable, one helper
+    thread each take the next channel index until none is left or a
+    channel has failed; the main thread takes channel 0, so the helper
+    starts at channel 1. Most of a channel's realization holds the GIL, but
+    its random draws and some array passes do not, so two channels overlap
+    in part; a third thread would hold one more channel's memory for little
+    more speed. A channel reads
+    only its own generators, so its histogram does not depend on the
+    thread, and every channel before a failing one is realized whole before
+    this returns. An error that is not a ChanEmError is raised here, in
+    channel order, as the channel's realization raised it. The helper is
+    joined before this returns or raises, and calls nothing that
+    bench/tracing.py wraps: its spans keep one stack, the main thread's.
+    """
+    count = len(config.true_params)
+    outcomes: list[Any] = [None] * count
+    indices = iter(range(count))
+    taking = threading.Lock()
+    stop = threading.Event()
+
+    def realize(index: int) -> None:
+        try:
+            start = 0 if heuristic else index
+            outcomes[index] = _realize_channel(config, index, start)
+        except Exception as exc:  # read in channel order below
+            outcomes[index] = exc
+            stop.set()
+
+    def realize_rest() -> None:
+        # each index is taken once and, once taken, realized, so no channel
+        # before a failing one is left out
+        while True:
+            with taking:
+                index = None if stop.is_set() else next(indices, None)
+            if index is None:
+                return
+            realize(index)
+
+    first = next(indices)
+    helper = None
+    if count > 1 and _usable_cpus() > 1:
+        helper = threading.Thread(target=realize_rest, name="realize", daemon=True)
+        helper.start()
+    try:
+        realize(first)
+        realize_rest()
+    finally:
+        stop.set()
+        if helper is not None:
+            helper.join()
+    realized = []
+    for outcome in outcomes:
+        if isinstance(outcome, ChanEmError):
+            return realized, outcome
+        if isinstance(outcome, Exception):
+            raise outcome
+        realized.append(outcome)
+    return realized, None
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _realize_channel(
     config: ExperimentConfig, index: int, start_index: int
 ) -> tuple[GapHistogram, ChannelParams]:
     """Channel `index`'s gap histogram and its start `start_index`.
 
-    Its own frame, so the channel's realization is freed when it returns
-    and the next channel is realized with only earlier histograms alive.
+    Its own frame, so the channel's realization is freed when it returns,
+    before its thread takes the next channel.
     """
     dataset = _channel_dataset(config, index)
     return dataset, _resolve_starts(config, dataset)[start_index]

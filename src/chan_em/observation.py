@@ -31,7 +31,7 @@ if TYPE_CHECKING:
     from chan_em.likelihood import GapPlan
 
 _SCHEDULE_KINDS = ("fixed", "random-uniform")
-_BLOCK = 1 << 16  # gaps or rows per block of a draw, a gather, a histogram or a write
+_BLOCK = 1 << 15  # gaps or rows per block of a draw, a gather, a histogram or a write
 _DENSE = 16  # slots per observed slot up to which a run block is expanded
 _SPAN = 10**5  # implicit slot indices from 10**4 on: rows per aligned span
 _POWERS_OF_TEN = 10 ** np.arange(1, 19, dtype=np.int64)  # digit-count thresholds
@@ -95,27 +95,15 @@ class ObservationSchedule:
     def draw(self, gaps: int) -> ScheduleDraw:
         """The steps between the first `gaps + 1` observation slots.
 
-        A random schedule draws its `gaps` picks, _BLOCK at a time, from a
-        freshly seeded generator; consecutive draws equal one draw of their
-        total size, so every count sees a prefix of the same stream. The
-        picks are kept, narrowed, rather than drawn a second time when the
-        slots are built: 1 B a gap costs less than a second draw's time
-        (about 5 ms per 1e6 picks), and the draw stays one pass.
+        A random schedule's draw keeps its seed, not its picks: see
+        ScheduleDraw. Consecutive draws of a generator equal one draw of
+        their total size, so every count sees a prefix of the same stream.
         """
         if self.kind == "fixed":
-            steps = np.array([self.skip + 1], dtype=np.int64)
-            return ScheduleDraw(steps, None, gaps, 1 + gaps * (self.skip + 1))
+            return ScheduleDraw(np.array([self.skip + 1], dtype=np.int64), None, gaps)
         if self.seed is None:
             raise ValueError("random-uniform schedule needs a seed before drawing")
-        steps = np.array(self.support, dtype=np.int64) + 1
-        rng = np.random.default_rng(self.seed)
-        picks = np.empty(gaps, dtype=np.min_scalar_type(len(steps) - 1))
-        last_slot = 1
-        for lo in range(0, gaps, _BLOCK):
-            block = rng.integers(0, len(steps), size=min(_BLOCK, gaps - lo))
-            picks[lo : lo + len(block)] = block
-            last_slot += int(steps.take(block).sum())
-        return ScheduleDraw(steps, picks, gaps, last_slot)
+        return ScheduleDraw(np.array(self.support, dtype=np.int64) + 1, self.seed, gaps)
 
     def times_for_count(self, num_observations: int) -> np.ndarray:
         """1-based observation slots for exactly `num_observations` samples."""
@@ -136,27 +124,36 @@ class ObservationSchedule:
 class ScheduleDraw:
     """The steps between the first `gaps + 1` observation slots of a schedule.
 
-    Gap i spans `steps[picks[i]]` slots, or `steps[0]` for every gap when
-    `picks` is None (a fixed schedule). The picks are support indices in
-    the narrowest unsigned dtype that holds them, 1 B a gap for up to 256
-    support entries, not int64 slot indices; `last_slot`, the last
-    observed slot, is known before any slot index is built, so the chain
-    can be simulated to that length first.
+    Gap i spans `steps[0]` slots when `seed` is None (a fixed schedule);
+    otherwise `steps[k]`, where k is the i-th pick of
+    `integers(0, len(steps))` from a generator seeded with `seed`. The picks
+    are not kept: every pass over the gaps (last_slot, then step_blocks)
+    draws them again, _BLOCK at a time, so a draw holds no per-gap array.
+    A second draw costs about 5 ms per 1e6 picks, and releases the GIL;
+    keeping them cost 1 B a gap.
     """
 
     steps: np.ndarray
-    picks: np.ndarray | None
+    seed: int | None
     gaps: int
-    last_slot: int
+
+    @cached_property
+    def last_slot(self) -> int:
+        """The last observed slot, known before any slot index is built, so
+        the chain can be simulated to that length first."""
+        if self.seed is None:
+            return 1 + self.gaps * int(self.steps[0])
+        return 1 + sum(int(steps.sum()) for steps in self.step_blocks())
 
     def step_blocks(self) -> Iterator[np.ndarray]:
         """Every gap's step as int64, in order, in fresh blocks of _BLOCK."""
+        rng = None if self.seed is None else np.random.default_rng(self.seed)
         for lo in range(0, self.gaps, _BLOCK):
-            hi = min(lo + _BLOCK, self.gaps)
-            if self.picks is None:
-                yield np.full(hi - lo, self.steps[0])
+            size = min(_BLOCK, self.gaps - lo)
+            if rng is None:
+                yield np.full(size, self.steps[0])
             else:
-                yield self.steps.take(self.picks[lo:hi])
+                yield self.steps.take(rng.integers(0, len(self.steps), size=size))
 
     def times(self) -> np.ndarray:
         """The `gaps + 1` observation slots as int64, starting at slot 1."""
@@ -447,30 +444,47 @@ def _gap_keys(steps: np.ndarray, states: np.ndarray) -> np.ndarray:
 def _count_keys(key_blocks: Iterable[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """(signatures, counts) of every gap key, in ascending key order.
 
-    When a block's largest key is below its length, np.bincount counts it in
-    O(n) with a table no larger than the keys; otherwise (sparse keys, such
-    as one gap of 1e12 slots) np.unique sorts a copy, O(n log n). Later
-    blocks are merged in over the distinct keys alone, by np.unique with
-    return_inverse, not np.union1d: np.unique with no flags imports numpy.ma
-    on numpy 2.x (14-26 ms and about 1 MB of RSS, once per process).
+    A block whose largest key is below its length, or below the count
+    table's, is dense: np.bincount adds it into one count table indexed by
+    key, in O(n), and the table only grows to a dense block's length, so
+    never past the longest block. Other blocks (sparse keys, such as one gap
+    of 1e12 slots) are counted by np.unique, which sorts a copy, O(n log n),
+    and merged over their distinct keys, as is the table at the end, by
+    _merge_counts.
     """
-    keys = counts = None
+    table = np.zeros(0, dtype=np.int64)
+    keys = counts = np.zeros(0, dtype=np.int64)  # the sparse blocks'
     for key in key_blocks:
-        if key.max() < len(key):
-            block_counts = np.bincount(key)
-            block_keys = np.flatnonzero(block_counts)
-            block_counts = block_counts[block_keys]
+        if key.max() < max(len(key), len(table)):
+            grown = np.bincount(key, minlength=len(table))
+            grown[: len(table)] += table
+            table = grown
         else:
             block_keys, block_counts = np.unique(key, return_counts=True)
-        if keys is None:
-            keys, counts = block_keys, block_counts
-            continue
-        merged, where = np.unique(np.append(keys, block_keys), return_inverse=True)
-        total = np.zeros(len(merged), dtype=counts.dtype)
-        np.add.at(total, where, np.append(counts, block_counts))
-        keys, counts = merged, total
+            keys, counts = _merge_counts(keys, counts, block_keys, block_counts)
+    dense = np.flatnonzero(table)
+    keys, counts = _merge_counts(keys, counts, dense, table[dense])
     signatures = np.column_stack(((keys >> 1) & 1, keys & 1, keys >> 2))
     return signatures, counts
+
+
+def _merge_counts(
+    keys: np.ndarray, counts: np.ndarray, more_keys: np.ndarray, more_counts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The union of two (ascending distinct keys, counts) pairs, counts added.
+
+    By np.unique with return_inverse, not np.union1d: np.unique with no
+    flags imports numpy.ma on numpy 2.x (14-26 ms and about 1 MB of RSS,
+    once per process).
+    """
+    if not len(keys):
+        return more_keys, more_counts
+    if not len(more_keys):
+        return keys, counts
+    merged, where = np.unique(np.append(keys, more_keys), return_inverse=True)
+    total = np.zeros(len(merged), dtype=counts.dtype)
+    np.add.at(total, where, np.append(counts, more_counts))
+    return merged, total
 
 
 def _exact_copy(values: np.ndarray, dtype: type, name: str) -> np.ndarray:

@@ -47,7 +47,7 @@ EDGES = {  # at desk scale, merged over the command's preset
         "skip0": {**EVERY_SLOT, "starts": {"heuristic_count": 3}},
         "duplicates": {"starts": {"heuristic_count": 2}, "schedule": {
             "kind": "random-uniform", "support": [5, 2, 2, 9, 1, 5]}},
-        # a last block of one gap, whose key _count_keys merges in as sparse
+        # a last block of one gap
         "block-edge": {**SEQUENCE, "observed_slots": 65_538},
     },
     "simulate": {

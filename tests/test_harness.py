@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 import weakref
 from collections import Counter
@@ -25,7 +26,7 @@ from chan_em import (
     run_em,
     utilization,
 )
-from chan_em.errors import ConfigError
+from chan_em.errors import ConfigError, DegenerateObservationsError
 from chan_em.harness import (
     ExperimentConfig,
     GridSpec,
@@ -466,7 +467,7 @@ class TestRealizeHistogram:
             # observation counts on and just past the histogram's block edges
             (ObservationSchedule.fixed(1), 2**16),
             (ObservationSchedule.fixed(1), 2**16 + 1),
-            # a last block of one gap: its sparse key is merged in
+            # a last block of one gap
             (ObservationSchedule.fixed(1), 2**16 + 2),
             (ObservationSchedule.random_uniform((1, 2, 3)), 2 * 2**16),
             (ObservationSchedule.random_uniform((1, 2, 3)), 2 * 2**16 + 1),
@@ -501,9 +502,9 @@ class TestRealizeHistogram:
         self.assert_streams_the_dataset(truth, ObservationSchedule.fixed(0), count, 1)
 
     def test_fit_path_memory(self):
-        # fig5's fastest channel at paper scale: the schedule's picks, the
-        # kept first-state sojourns and one block of each stage (5.0 MiB);
-        # times, states, the sequence and one key per gap traced 24.9 MiB
+        # fig5's fastest channel at paper scale: the kept first-state
+        # sojourns and one block of each stage (3.5 MiB); times, states, the
+        # sequence and one key per gap traced 24.9 MiB
         schedule = ObservationSchedule.random_uniform((1, 2, 3, 4, 5, 6))
         np.random.default_rng(0)  # numpy imports np.random on first use: not traced
         tracemalloc.start()
@@ -529,10 +530,10 @@ class TestRealizeHistogram:
         assert peak < 4 * 2**20
 
     def test_merging_blocks_imports_no_numpy_ma(self):
-        # 69 999 gaps make two blocks, merged once; a bare np.unique (as in
-        # np.union1d) imports numpy.ma on numpy 2.x, 14-26 ms once per
-        # process, while numpy 1.x imports it with numpy: so compare the
-        # modules before and after the call, in a fresh interpreter
+        # 69 999 gaps make three blocks, added into one count table; a bare
+        # np.unique (as in np.union1d) imports numpy.ma on numpy 2.x, 14-26 ms
+        # once per process, while numpy 1.x imports it with numpy: so compare
+        # the modules before and after the call, in a fresh interpreter
         code = (
             "import sys\n"
             "from chan_em import ChannelParams\n"
@@ -730,7 +731,7 @@ class TestStreamedSimulate:
     def test_paper_fig3_memory(self, tmp_path, capsys):
         # 1e6 observations over 5e6 slots, every slot written: the sampler's
         # kept sojourns (1.1 MB), a span's rows and a block of each stage
-        # trace 5.3 MiB; the sequence, times and their copy traced 22.9 MiB
+        # trace 4.5 MiB; the sequence, times and their copy traced 22.9 MiB
         count = preset_config("paper-fig3", paper_scale=True)["observed_slots"]
         assert self.traced_peak(tmp_path, observed_slots=count) < 8 * 2**20
         assert "over 4999996 slots" in capsys.readouterr().out
@@ -1024,23 +1025,25 @@ class TestCmdMultichannel:
         with pytest.raises(ConfigError, match="one to one"):
             cmd_multichannel(config, resolved)
 
-    def test_realizes_one_channel_at_a_time(self, tmp_path, monkeypatch):
-        # the channels' histograms are all kept for the one lockstep fit, but
-        # a weakref to every realization so far (its schedule draw and run
-        # blocks) must be dead by the time the next channel is realized, and
-        # by the time the command returns
+    def test_realizes_at_most_two_channels_at_a_time(self, tmp_path, monkeypatch):
+        # the channels' histograms are all kept for the one lockstep fit, and
+        # the main thread and one helper realize a channel each at a time: a
+        # weakref to every realization so far (its schedule draw and run
+        # blocks) shows at most one other channel's alive when a channel is
+        # realized, and none by the time the command returns
         alive = []
         real = experiments.realize_runs
 
         def tracked(*args, **kwargs):
             held = [ref for ref in alive if ref() is not None]
-            assert held == [], f"{len(held)} earlier realization part(s) alive"
+            assert len(held) <= 2, f"{len(held)} other realization part(s) alive"
             runs, draw = real(*args, **kwargs)
             alive.extend((weakref.ref(runs), weakref.ref(draw)))
             return runs, draw
 
+        monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
         monkeypatch.setattr(experiments, "realize_runs", tracked)
-        channels = [{"alpha": 0.8, "beta": 0.3}, {"alpha": 0.2, "beta": 0.9}] * 2
+        channels = [{"alpha": 0.8, "beta": 0.3}, {"alpha": 0.2, "beta": 0.9}] * 3
         resolved = small_config(
             tmp_path,
             true_params=channels,
@@ -1050,6 +1053,120 @@ class TestCmdMultichannel:
         cmd_multichannel(parse_config(resolved), resolved)
         assert len(alive) == 2 * len(channels)
         assert all(ref() is None for ref in alive)
+
+
+class TestRealizeChannels:
+    """Channels realized on the helper thread fail as on the main thread."""
+
+    @staticmethod
+    def run_failing(tmp_path, cpus, error):
+        """Run multichannel on four channels whose channel 1 raises `error`.
+
+        With two usable CPUs, channel 0's realization waits until the helper
+        has taken channel 1, so channel 1 fails on the helper. Returns the
+        error raised, the thread channel 1 ran on, the channels fitted and
+        scored, and the change in the number of live threads.
+        """
+        helper_took = threading.Event()
+        channel_1 = []
+        real = experiments._realize_channel
+
+        def realize(config, index, start_index):
+            if index == 0 and cpus > 1:
+                assert helper_took.wait(10)
+            if index == 1:
+                channel_1.append(threading.current_thread())
+                helper_took.set()
+                raise error
+            return real(config, index, start_index)
+
+        fitted, scored = [], []
+        run_em_each, score = experiments.run_em_each, experiments.score_against_truth
+
+        def recorded_fit(datasets, starts, em_config):
+            fitted.append(list(starts))
+            return run_em_each(datasets, starts, em_config)
+
+        def recorded_score(dataset, reports, truth, clamp_epsilon):
+            scored.append(truth)
+            return score(dataset, reports, truth, clamp_epsilon)
+
+        channels = [{"alpha": 0.8, "beta": 0.3}, {"alpha": 0.2, "beta": 0.9}] * 2
+        starts = [{"alpha": 0.6, "beta": 0.5 - 0.1 * i} for i in range(4)]
+        resolved = small_config(
+            tmp_path, true_params=channels, starts=starts, em={"max_iterations": 5}
+        )
+        before = threading.active_count()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(experiments, "_usable_cpus", lambda: cpus)
+            patch.setattr(experiments, "_realize_channel", realize)
+            patch.setattr(experiments, "run_em_each", recorded_fit)
+            patch.setattr(experiments, "score_against_truth", recorded_score)
+            with pytest.raises(type(error)) as raised:
+                cmd_multichannel(parse_config(resolved), resolved)
+        (thread,) = channel_1
+        return raised.value, thread, fitted, scored, threading.active_count() - before
+
+    def test_each_channel_realized_once_under_fast_switching(
+        self, tmp_path, monkeypatch
+    ):
+        # a 1 us switch interval interleaves the two threads as finely as the
+        # interpreter allows: each channel is still realized exactly once,
+        # into the histogram it has alone, and read back in channel order
+        taken = []
+        real = experiments._realize_channel
+
+        def counted(config, index, start_index):
+            taken.append(index)
+            return real(config, index, start_index)
+
+        monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(experiments, "_realize_channel", counted)
+        channels = [{"alpha": 0.1 * (i + 1), "beta": 0.3} for i in range(8)]
+        starts = [{"alpha": 0.6, "beta": 0.5}] * len(channels)
+        resolved = small_config(
+            tmp_path, true_params=channels, starts=starts, observed_slots=500
+        )
+        config = parse_config(resolved)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            rounds = [experiments._realize_channels(config, False) for _ in range(5)]
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(taken) == sorted(list(range(len(channels))) * len(rounds))
+        for index, truth in enumerate(config.true_params):
+            alone = realize_histogram(
+                truth,
+                config.schedule,
+                config.observed_slots,
+                config.master_seed,
+                channel_index=index,
+            )
+            for realized, stopped in rounds:
+                assert stopped is None
+                dataset, start = realized[index]
+                assert np.array_equal(dataset.signatures, alone.signatures)
+                assert np.array_equal(dataset.counts, alone.counts)
+                assert start == config.starts[index]
+
+    @pytest.mark.parametrize(
+        "error", [DegenerateObservationsError("channel 1"), ValueError("channel 1")]
+    )
+    def test_helper_error_raises_as_on_the_main_thread(self, tmp_path, error):
+        alone = self.run_failing(tmp_path / "alone", 1, error)
+        helped = self.run_failing(tmp_path / "helped", 2, error)
+        assert alone[1] is threading.main_thread()
+        assert helped[1] is not threading.main_thread()
+        for raised, _, fitted, scored, threads_left in (alone, helped):
+            assert raised is error
+            if isinstance(error, DegenerateObservationsError):
+                # channel 0 is fitted and scored before channel 1's error
+                assert fitted == [[ChannelParams(0.6, 0.5)]]
+                assert scored == [ChannelParams(0.8, 0.3)]
+            else:  # raised at once, as a bug in realizing would be
+                assert fitted == scored == []
+            assert threads_left == 0
 
 
 # channels whose data have different signature tables (24 rows and 6)

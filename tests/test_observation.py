@@ -24,6 +24,7 @@ from chan_em.observation import (
     GapHistogram,
     _RunCursor,
     _SlotRows,
+    _count_keys,
     _write_rows,
     open_slot_states,
 )
@@ -131,28 +132,43 @@ class TestSchedule:
 
 
 class TestScheduleDraw:
-    @pytest.mark.parametrize("gaps", [1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 7])
     @pytest.mark.parametrize(
-        "support, dtype",
-        [((1, 2, 3, 4, 5, 6), np.uint8), (tuple(range(1, 301)), np.uint16)],
+        "gaps", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 7, 4 * _BLOCK]
     )
-    def test_picks_drawn_in_blocks_equal_one_draw(self, gaps, support, dtype):
+    @pytest.mark.parametrize(
+        "support", [(1, 2, 3, 4, 5, 6), tuple(range(1, 301))], ids=["six", "300"]
+    )
+    def test_every_pass_redraws_one_draw(self, gaps, support):
         draw = ObservationSchedule.random_uniform(support, seed=8).draw(gaps)
         picks = np.random.default_rng(8).integers(0, len(support), size=gaps)
         steps = np.concatenate(([1], np.add(support, 1)[picks]))
-        assert draw.picks.dtype == dtype
-        assert np.array_equal(draw.picks, picks)
+        assert draw.last_slot == steps.sum()
+        for _ in range(2):  # each pass draws the picks again, the same
+            blocks = list(draw.step_blocks())
+            assert [len(b) for b in blocks[:-1]] == [_BLOCK] * (len(blocks) - 1)
+            assert all(b.dtype == np.int64 and len(b) <= _BLOCK for b in blocks)
+            assert np.array_equal(np.concatenate(blocks), steps[1:])
         times = draw.times()
         assert times.dtype == np.int64 and np.array_equal(times, np.cumsum(steps))
         assert draw.last_slot == times[-1]
-        blocks = list(draw.step_blocks())
-        assert all(b.dtype == np.int64 and len(b) <= _BLOCK for b in blocks)
-        assert np.array_equal(np.concatenate(blocks), steps[1:])
 
     def test_fixed_draw_holds_no_picks(self):
         draw = ObservationSchedule.fixed(10**7).draw(3)
-        assert draw.picks is None and draw.last_slot == 1 + 3 * (10**7 + 1)
+        assert draw.seed is None and draw.last_slot == 1 + 3 * (10**7 + 1)
         assert draw.times().tolist() == [1 + k * (10**7 + 1) for k in range(4)]
+
+    def test_random_draw_holds_no_per_gap_array(self):
+        # picks kept at 1 B a gap would hold about 1 MB here
+        schedule = ObservationSchedule.random_uniform((1, 2, 3, 4, 5, 6), seed=3)
+        np.random.default_rng(0)  # numpy imports np.random on first use: not traced
+        tracemalloc.start()
+        try:
+            draw = schedule.draw(10**6)
+            assert draw.last_slot > 10**6
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held < 4 * 2**10
 
     @pytest.mark.parametrize("draw", ["integers", "geometric"])
     def test_consecutive_draws_equal_one_draw(self, draw):
@@ -164,6 +180,29 @@ class TestScheduleDraw:
         rng = np.random.default_rng(6)
         split = np.concatenate([getattr(rng, draw)(*args, size=n) for n in sizes])
         assert np.array_equal(split, once)
+
+
+class TestCountKeys:
+    @pytest.mark.parametrize(
+        "blocks",
+        [
+            [[0, 1, 1, 3], [2, 2, 0]],  # dense blocks only
+            [[0, 1], [5, 4, 3, 2, 1, 0]],  # the table grows
+            [[0, 1, 2, 3, 3], [40, 7], [1, 3]],  # dense, sparse, dense in the table
+            [[10**12, 5], [0, 1, 2, 2]],  # sparse first
+            [[0, 1, 2, 3], [3, 100], [100, 3, 2**61]],  # keys in both kinds
+            [[7], [2**40], [9]],  # sparse blocks only
+        ],
+    )
+    def test_equals_one_count_of_all_keys(self, blocks):
+        blocks = [np.array(block, dtype=np.int64) for block in blocks]
+        keys, want = np.unique(np.concatenate(blocks), return_counts=True)
+        signatures, counts = _count_keys(iter(blocks))
+        assert signatures.dtype == keys.dtype and counts.dtype == want.dtype
+        assert np.array_equal(
+            signatures, np.column_stack(((keys >> 1) & 1, keys & 1, keys >> 2))
+        )
+        assert np.array_equal(counts, want)
 
 
 class TestGapHistogram:
@@ -474,7 +513,7 @@ class TestGapHistogramPaths:
 
 
 class TestCsvRoundTrip:
-    # 65 537 rows cross the writer's 65 536-row block boundary; both counts
+    # 65 537 rows cross a block boundary of the writer's, row 65 536; both counts
     # cross the 9/10 and 99/100 digit boundaries of the slot index
     @pytest.mark.parametrize("k", [200, 65_537])
     def test_exact_round_trip(self, tmp_path, k):
@@ -569,8 +608,8 @@ _EVERY_WIDTH = np.array(
     [0, *(10**k - 1 for k in range(1, 19)), *(10**k for k in range(19))] + [2**61],
     dtype=np.int64,
 )  # 1 to 19 digits, each width's smallest and largest value up to the 2**61 cap
-# the width changes mid-block (9 999 -> 10 000 at row 10) and exactly at the
-# 65 536-row block boundary (99 999 -> 100 000)
+# the width changes mid-block (9 999 -> 10 000 at row 10) and exactly at a
+# block boundary, row 65 536 (99 999 -> 100 000)
 _ACROSS_BLOCKS = np.concatenate(
     (np.arange(9_990, 10_010), np.arange(100_000 - (1 << 16) + 20, 100_010))
 )
