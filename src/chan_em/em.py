@@ -17,15 +17,15 @@ log-likelihood. The M-step is expfam.complete_ratios, the complete-data
 ratio estimator behind mle_complete, on the expected counts, clamped into
 the open unit square so log-likelihoods stay finite.
 
-Every (dataset, start) pair of a call runs in lockstep: each E-M iterate
-makes one e_step call, and so one kernel call, per signature table for the
-pairs still running, with the Van Loan matrices of their points stacked and
-each point reduced with its own dataset's counts. run_em is that loop with
-one pair, multi_start with every start of one dataset, and run_em_each with
-one start for each of several datasets, as the multichannel commands fit
-their channels. Each pair stops on its own tolerance and gets exactly the
-iterates, trajectory and errors it would get alone. Between kernel calls a
-pair's point is a pair of floats; its report is built when it stops.
+run_em_each is the one E-M loop. It runs (dataset, start) pairs, given as
+two parallel lists, in lockstep: each iterate makes one e_step call, and so
+one kernel call, per signature table for the pairs still running, with the
+Van Loan matrices of their points stacked and each point reduced with its
+own dataset's counts. run_em calls it with one pair, multi_start with every
+start of one dataset, and the multichannel commands with one start for each
+channel. Each pair stops on its own tolerance and gets exactly the
+iterates, trajectory and M-step error it would get alone. Between kernel
+calls a pair's point is a pair of floats; its report is built when it stops.
 
 The fit never sees the true parameters. score_against_truth scores finished
 runs against a known truth, for simulations only.
@@ -189,108 +189,6 @@ def relative_error(
     )
 
 
-def _shared_tables(datasets: Sequence[GapData]) -> list[int]:
-    """For each dataset, the index of the first dataset with its signatures."""
-    first: dict[bytes, int] = {}
-    return [
-        first.setdefault(dataset.gap_histogram[0].tobytes(), index)
-        for index, dataset in enumerate(datasets)
-    ]
-
-
-def _lockstep(
-    datasets: Sequence[GapData],
-    starts: Sequence[Sequence[ChannelParams]],
-    config: EmConfig,
-) -> list[list[EstimateReport | ChanEmError] | ChanEmError]:
-    """Run E-M from every start of every dataset at once.
-
-    Returns, per dataset, the report or error of each of its starts, or the
-    E-step error that failed that dataset as a whole. Each iterate makes one
-    e_step call per signature table for the (dataset, start) pairs still
-    running. A pair stops after the E-step at which its last update moved no
-    parameter by param_tolerance or more, or after max_iterations updates;
-    one whose M-step fails stops with that error, prefixed by the iteration.
-    The others carry on, so every pair's outcome is what it would be alone.
-    The E-step fails only on an underflow that clamped iterates do not
-    reach; a call that fails is repeated per dataset, and a dataset whose
-    own call fails stops with that error while the other datasets carry on.
-    """
-    eps = config.clamp_epsilon
-    owner = [index for index, points in enumerate(starts) for _ in points]
-    origin = [start for points in starts for start in points]
-    data = [datasets[index] for index in owner]
-    current = [start.clamped(eps).as_tuple() for start in origin]
-    trajectories = [
-        EmTrajectory() if config.record_trajectory else None for _ in origin
-    ]
-    delta = [math.inf] * len(origin)
-    outcomes: list = [None] * len(origin)
-    failed: dict[int, ChanEmError] = {}
-
-    def rows(pairs: list[int], owners: list[GapData] | None = None) -> list:
-        """(pair, counts row, log-likelihood) of pairs on one table, as floats."""
-        points = [current[i] for i in pairs]
-        expected, log_likelihood = e_step(data[pairs[0]], points, owners)
-        return list(zip(pairs, expected.tolist(), log_likelihood.tolist()))
-
-    def evaluate(pairs: list[int]) -> list:
-        """rows() of pairs whose datasets share one table, less failed ones."""
-        try:
-            return rows(pairs, [data[i] for i in pairs])
-        except ChanEmError:
-            pass
-        # repeated per dataset, so that only the datasets whose own call fails stop
-        done = []
-        for index in dict.fromkeys(owner[i] for i in pairs):
-            try:
-                done += rows([i for i in pairs if owner[i] == index])
-            except ChanEmError as exc:
-                failed[index] = exc
-        return done
-
-    # the pairs still running, by signature table
-    live: dict[int, list[int]] = {}
-    for i, table in enumerate(_shared_tables(data)):
-        live.setdefault(table, []).append(i)
-    for iteration in range(config.max_iterations + 1):
-        running: dict[int, list[int]] = {}
-        for table, pairs in live.items():
-            for i, counts, log_likelihood in evaluate(pairs):
-                alpha, beta = current[i]
-                if trajectories[i] is not None:
-                    trajectories[i].steps.append(
-                        TrajectoryStep(iteration, alpha, beta, log_likelihood)
-                    )
-                converged = delta[i] < config.param_tolerance
-                if converged or iteration == config.max_iterations:
-                    if converged and trajectories[i] is not None:
-                        trajectories[i].converged_at = iteration
-                    outcomes[i] = EstimateReport(
-                        estimate=ChannelParams(alpha, beta),
-                        start=origin[i],
-                        iterations_run=iteration,
-                        log_likelihood=log_likelihood,
-                        trajectory=trajectories[i],
-                    )
-                    continue
-                try:
-                    current[i] = m_step(counts, eps)
-                except ChanEmError as exc:
-                    outcomes[i] = type(exc)(f"iteration {iteration + 1}: {exc}")
-                    outcomes[i].__cause__ = exc
-                    continue
-                delta[i] = max(abs(current[i][0] - alpha), abs(current[i][1] - beta))
-                running.setdefault(table, []).append(i)
-        live = running
-        if not live:
-            break
-    per_dataset: list[list] = [[] for _ in datasets]
-    for index, outcome in zip(owner, outcomes):
-        per_dataset[index].append(outcome)
-    return [failed.get(index, done) for index, done in enumerate(per_dataset)]
-
-
 def run_em(
     dataset: GapData, start: ChannelParams, config: EmConfig = EmConfig()
 ) -> EstimateReport:
@@ -311,18 +209,74 @@ def run_em_each(
     starts: Sequence[ChannelParams],
     config: EmConfig = EmConfig(),
 ) -> list[EstimateReport | ChanEmError]:
-    """run_em on each dataset from its start, all of them in lockstep.
+    """Run E-M on (dataset, start) pairs of two parallel lists, in lockstep.
 
-    Entry k is the report of run_em(datasets[k], starts[k], config), bit
-    for bit, or the error that call would raise; one failing dataset does
-    not stop the others. Datasets that share a signature table share each
-    iterate's kernel call, so C such datasets cost at most max_iterations + 1
-    calls, not up to C times as many.
+    Entry k is the report of pair k or, when its M-step fails, that error
+    prefixed by the iteration; the other pairs carry on, so every pair's
+    outcome is what it would be alone. A pair stops after the E-step at
+    which its last update moved no parameter by param_tolerance or more, or
+    after max_iterations updates. Each iterate makes one e_step call per
+    signature table, in order of first appearance, for the pairs still
+    running, so C pairs on one table cost at most max_iterations + 1 calls,
+    not up to C times as many. A kernel error propagates: only an underflow
+    raises one, and no clamped point reaches one.
     """
-    return [
-        outcome if isinstance(outcome, ChanEmError) else outcome[0]
-        for outcome in _lockstep(datasets, [[start] for start in starts], config)
+    if len(datasets) != len(starts):
+        raise ValueError(
+            f"need one start per dataset, got {len(starts)} starts "
+            f"for {len(datasets)} datasets"
+        )
+    eps = config.clamp_epsilon
+    current = [start.clamped(eps).as_tuple() for start in starts]
+    trajectories = [
+        EmTrajectory() if config.record_trajectory else None for _ in starts
     ]
+    delta = [math.inf] * len(starts)
+    outcomes: list = [None] * len(starts)
+    # the pairs still running, by signature table
+    live: dict[bytes, list[int]] = {}
+    for i, dataset in enumerate(datasets):
+        live.setdefault(dataset.gap_histogram[0].tobytes(), []).append(i)
+    for iteration in range(config.max_iterations + 1):
+        running: dict[bytes, list[int]] = {}
+        for table, pairs in live.items():
+            expected, log_likelihoods = e_step(
+                datasets[pairs[0]],
+                [current[i] for i in pairs],
+                [datasets[i] for i in pairs],
+            )
+            for i, counts, log_likelihood in zip(
+                pairs, expected.tolist(), log_likelihoods.tolist()
+            ):
+                alpha, beta = current[i]
+                if trajectories[i] is not None:
+                    trajectories[i].steps.append(
+                        TrajectoryStep(iteration, alpha, beta, log_likelihood)
+                    )
+                converged = delta[i] < config.param_tolerance
+                if converged or iteration == config.max_iterations:
+                    if converged and trajectories[i] is not None:
+                        trajectories[i].converged_at = iteration
+                    outcomes[i] = EstimateReport(
+                        estimate=ChannelParams(alpha, beta),
+                        start=starts[i],
+                        iterations_run=iteration,
+                        log_likelihood=log_likelihood,
+                        trajectory=trajectories[i],
+                    )
+                    continue
+                try:
+                    current[i] = m_step(counts, eps)
+                except ChanEmError as exc:
+                    outcomes[i] = type(exc)(f"iteration {iteration + 1}: {exc}")
+                    outcomes[i].__cause__ = exc
+                    continue
+                delta[i] = max(abs(current[i][0] - alpha), abs(current[i][1] - beta))
+                running.setdefault(table, []).append(i)
+        live = running
+        if not live:
+            break
+    return outcomes
 
 
 def multi_start(
@@ -335,23 +289,20 @@ def multi_start(
     final log-likelihood, ties going to the lower start index. Returns
     (winner, reports in start order). A start whose M-step fails is dropped
     from the list, and AllStartsFailedError aggregates the causes when no
-    start survives; an E-step error, which only underflow raises, fails the
+    start survives; a kernel error, which only underflow raises, fails the
     whole call.
     """
     if not starts:
         raise ValueError("need at least one start")
-    (outcomes,) = _lockstep([dataset], [starts], config)
-    if isinstance(outcomes, ChanEmError):
-        raise outcomes
-    reports: list[EstimateReport] = []
-    failures: list[str] = []
-    for index, (start, outcome) in enumerate(zip(starts, outcomes)):
-        if isinstance(outcome, ChanEmError):
-            failures.append(f"start {index} ({start.alpha}, {start.beta}): {outcome}")
-        else:
-            reports.append(outcome)
+    outcomes = run_em_each([dataset] * len(starts), starts, config)
+    reports = [outcome for outcome in outcomes if not isinstance(outcome, ChanEmError)]
     if not reports:
-        raise AllStartsFailedError("; ".join(failures))
+        raise AllStartsFailedError(
+            "; ".join(
+                f"start {index} ({start.alpha}, {start.beta}): {outcome}"
+                for index, (start, outcome) in enumerate(zip(starts, outcomes))
+            )
+        )
     return max(reports, key=lambda r: r.log_likelihood), reports
 
 

@@ -2,9 +2,10 @@
 
 Each run goes through the CLI on BASE/src (BASE a checkout or `git archive`),
 then on this checkout's src/, with the same --out path: the config hash and the
-`wrote` lines include it. The trees, with each run's stdout, are compared byte
-for byte and deleted; each failed run and differing, missing or extra file is
-printed and makes the exit code 1.
+`wrote` lines include it. The trees, with each run's stdout, stderr and exit
+code, are compared byte for byte and deleted; each run that exits other than
+its table entry expects, and each differing, missing or extra file, is printed
+and makes the exit code 1.
 """
 
 import filecmp
@@ -65,38 +66,53 @@ EDGES = {  # at desk scale, merged over the command's preset
     "rank": {"heuristic": {"starts": {"heuristic_count": 1}},
              "mixed-tables": MIXED_TABLES},
 }
-# (path in the output tree, CLI command and flags but --out and --config, config)
+# a channel that, once idle, stays idle; every run exits 3 on the second channel
+STUCK = {"true_params": [{"alpha": 0.8, "beta": 0.3}, {"alpha": 0.5, "beta": 1e-12}]}
+ERRORS = {  # at desk scale, merged over paper-fig5
+    # InsufficientDataError: iteration 1: both states must be left at least once
+    "update-error": {**STUCK, **EVERY_SLOT, "starts": MIXED_TABLES["starts"]},
+    # DegenerateObservationsError: all observations agree
+    "start-error": {**STUCK, "starts": {"heuristic_count": 1}},
+}
+# (path in the output tree, CLI command and flags but --out and --config, config,
+# expected exit code)
 RUNS = [
-    *((f"{scale}/{command}", (command, "--preset", preset, *flags), {})
+    *((f"{scale}/{command}", (command, "--preset", preset, *flags), {}, 0)
       for scale, flags in SCALES.items() for command, preset in PRESETS.items()),
     *((f"{scale}/simulate-{label}", ("simulate", "--preset", "paper-fig3", *flags),
-       {**SEQUENCE, **config})
+       {**SEQUENCE, **config}, 0)
       for scale, flags in SCALES.items() for label, config in SEQUENCES.items()),
-    *((f"desk/{command}-{label}", (command, "--preset", PRESETS[command]), config)
+    *((f"desk/{command}-{label}", (command, "--preset", PRESETS[command]), config, 0)
       for command, configs in EDGES.items() for label, config in configs.items()),
     ("desk/table1-slow-mixing", ("table1",), {**SLOW, "em": {"max_iterations": 100},
         "starts": [{"alpha": a, "beta": b} for a, b in
-                   ((0.0025, 0.0035), (0.0015, 0.0025), (0.02, 0.03), (0.2, 0.1))]}),
+                   ((0.0025, 0.0035), (0.0015, 0.0025), (0.02, 0.03), (0.2, 0.1))]},
+     0),
+    *((f"desk/{command}-{label}", (command, "--preset", "paper-fig5"), config, 3)
+      for command in ("multichannel", "rank") for label, config in ERRORS.items()),
 ]
 
 
 def run_all(src: Path, dest: Path, work: Path) -> list[str]:
-    """Run RUNS on `src` into work/presets, move that tree to `dest`; name failures."""
+    """Run RUNS on `src` into work/presets, move that tree to `dest`; name the
+    runs that exit other than expected."""
     failures = []
-    for name, command, config in RUNS:
+    for name, command, config, expected in RUNS:
         out = work / "presets" / name
         out.parent.mkdir(parents=True, exist_ok=True)
         args = [*command, "--out", str(out)]
         if config:
             (work / "config.json").write_text(json.dumps(config))
             args += ["--config", str(work / "config.json")]
-        with open(f"{out}.stdout", "wb") as stdout:
+        with (open(f"{out}.stdout", "wb") as stdout,
+              open(f"{out}.stderr", "wb") as stderr):
             code = subprocess.run(
-                [sys.executable, "-m", "chan_em.harness.cli", *args],
-                stdout=stdout, cwd=work, env={**os.environ, "PYTHONPATH": str(src)},
+                [sys.executable, "-m", "chan_em.harness.cli", *args], stdout=stdout,
+                stderr=stderr, cwd=work, env={**os.environ, "PYTHONPATH": str(src)},
             ).returncode
-        if code:
-            failures.append(f"{name} exited {code} on {src}")
+        Path(f"{out}.exit").write_text(f"{code}\n")
+        if code != expected:
+            failures.append(f"{name} exited {code}, not {expected}, on {src}")
     (work / "presets").rename(dest)
     return failures
 

@@ -512,39 +512,42 @@ class TestLockstep:
                 expected += [live] if live else []
         assert calls == expected
 
-    def test_e_step_failure_stops_only_its_dataset(self, dataset, monkeypatch):
+    def test_kernel_error_propagates_from_every_entry_point(
+        self, dataset, monkeypatch
+    ):
         from chan_em import em
 
-        # the same table as dataset, but another object; its third E-step fails
-        twin = ObservedDataset(times=dataset.times, states=dataset.states)
-        config = EmConfig(max_iterations=20, record_trajectory=True)
-        alone = [run_em(dataset, start, config) for start in self.STARTS[:2]]
+        # only subnormal, so unclamped, points make the kernel raise; force it
         original = em.gap_posteriors
-        seen = []
+        error = ZeroProbabilityError("forced")
+        calls = []
 
         def kernel(data, points, datasets=None):
-            if any(d is twin for d in datasets or [data]):
-                seen.append(len(points))
-                if len(seen) >= 3:
-                    raise ZeroProbabilityError("forced")
+            calls.append(len(points))
+            if len(calls) == 3:
+                raise error
             return original(data, points, datasets)
 
         monkeypatch.setattr(em, "gap_posteriors", kernel)
-        with pytest.raises(ZeroProbabilityError, match="^forced$"):
-            run_em(twin, self.STARTS[2], config)
-        seen.clear()
-        starts = [self.STARTS[0], self.STARTS[2], self.STARTS[1]]
-        outcomes = run_em_each([dataset, twin, dataset], starts, config)
-        assert isinstance(outcomes[1], ZeroProbabilityError)
-        assert str(outcomes[1]) == "forced"
-        assert [run_fields(outcomes[0]), run_fields(outcomes[2])] == [
-            run_fields(report) for report in alone
-        ]
-        # the shared call of the third iterate failed, then twin's own call
-        assert seen == [3, 3, 3, 1]
-        seen.clear()
-        with pytest.raises(ZeroProbabilityError, match="^forced$"):
-            multi_start(twin, self.STARTS, config)
+        config = EmConfig(max_iterations=20)
+        for fit in (
+            lambda: run_em(dataset, self.STARTS[0], config),
+            lambda: run_em_each([dataset, dataset], self.STARTS[:2], config),
+            lambda: multi_start(dataset, self.STARTS, config),
+        ):
+            calls.clear()
+            with pytest.raises(ZeroProbabilityError) as info:
+                fit()
+            assert info.value is error and len(calls) == 3
+
+    def test_datasets_and_starts_pair_one_to_one(self, dataset):
+        # a surplus dataset or start is the caller's mistake, not a pair to skip
+        for datasets, starts in (
+            ([dataset, dataset], self.STARTS[:1]),
+            ([dataset], self.STARTS[:2]),
+        ):
+            with pytest.raises(ValueError, match="one start per dataset"):
+                run_em_each(datasets, starts)
 
 
 class TestHeuristicStarts:

@@ -597,10 +597,12 @@ class TestExactNearBoundary:
                     assert got == pytest.approx(want, rel=1e-12), where
 
     def test_clamp_floor_keeps_every_gap_probability_normal(self):
-        # an underflowing gap fails the whole kernel call, so no clamped point
-        # may reach one: at every corner that a clamp can reach (eps just above
-        # 2**-54 makes 1 - eps round to 1 - 2**-53) and at every gap length a
-        # dataset admits, each gap probability must stay a normal double
+        # an underflowing gap fails the whole kernel call, and the E-M loop
+        # relies on this test that no clamped point reaches one: it has no
+        # fallback and lets the kernel's error stop every run of the call. At
+        # every corner that a clamp can reach (eps just above 2**-54 makes
+        # 1 - eps round to 1 - 2**-53) and at every gap length a dataset
+        # admits, each gap probability must stay a normal double
         edges = [math.ldexp(1 + 2**-52, -54), 2**-53, 1e-9, 0.5, 1 - 1e-9, 1 - 2**-53]
         points = [ChannelParams(a, b) for a in edges for b in edges]
         lengths = [0, 1, 2, *(2**k - d for k in (3, 10, 32, 53) for d in (2, 1)),
