@@ -22,7 +22,7 @@ import math
 import os
 import threading
 from pathlib import Path
-from typing import Any, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -347,8 +347,9 @@ def cmd_se_grid(config: ExperimentConfig, resolved: dict) -> list[Path]:
 def _estimate_channels(config: ExperimentConfig) -> list[EstimateReport]:
     """Simulate, observe, and estimate every configured channel.
 
-    The channels are realized two at a time (_realize_channels), and only
-    their gap histograms are kept; all of them are then fitted in one
+    The channels are realized two at a time, here and in a forked helper
+    process where more than one CPU is usable (_realize_channels), and only
+    their gap histograms are kept; all of them are then fitted here in one
     lockstep (run_em_each) and scored in order. The first channel to fail,
     in channel order, raises its error, as when each channel was realized,
     fitted and scored before the next: a realization or start error stops
@@ -391,64 +392,45 @@ def _realize_channels(
     """Each channel's gap histogram and start, in channel order, up to the
     first channel whose realization or start fails, and that ChanEmError.
 
-    The main thread and, where more than one CPU is usable, one helper
-    thread each take the next channel index until none is left or a
-    channel has failed; the main thread takes channel 0, so the helper
-    starts at channel 1. Most of a channel's realization holds the GIL, but
-    its random draws and some array passes do not, so two channels overlap
-    in part; a third thread would hold one more channel's memory for little
-    more speed. A channel reads
-    only its own generators, so its histogram does not depend on the
-    thread, and every channel before a failing one is realized whole before
-    this returns. An error that is not a ChanEmError is raised here, in
-    channel order, as the channel's realization raised it. The helper is
-    joined before this returns or raises, and calls nothing that
-    bench/tracing.py wraps: its spans keep one stack, the main thread's.
+    Where _forks_helper allows, one helper process realizes channels beside
+    this one (_realize_beside_helper). Every channel left unrealized, which
+    is all of them where no helper is forked, is then realized here, in
+    channel order. A channel reads only its own generators, so its
+    histogram does not depend on the process that realized it, and every
+    channel before a failing one is realized whole before this returns. An
+    error that is not a ChanEmError is raised here, in channel order, as
+    the channel's realization raised it.
     """
-    count = len(config.true_params)
-    outcomes: list[Any] = [None] * count
-    indices = iter(range(count))
-    taking = threading.Lock()
-    stop = threading.Event()
-
-    def realize(index: int) -> None:
-        try:
-            start = 0 if heuristic else index
-            outcomes[index] = _realize_channel(config, index, start)
-        except Exception as exc:  # read in channel order below
-            outcomes[index] = exc
-            stop.set()
-
-    def realize_rest() -> None:
-        # each index is taken once and, once taken, realized, so no channel
-        # before a failing one is left out
-        while True:
-            with taking:
-                index = None if stop.is_set() else next(indices, None)
-            if index is None:
-                return
-            realize(index)
-
-    first = next(indices)
-    helper = None
-    if count > 1 and _usable_cpus() > 1:
-        helper = threading.Thread(target=realize_rest, name="realize", daemon=True)
-        helper.start()
-    try:
-        realize(first)
-        realize_rest()
-    finally:
-        stop.set()
-        if helper is not None:
-            helper.join()
+    outcomes: list[Any] = [None] * len(config.true_params)
+    if len(outcomes) > 1 and _forks_helper():
+        _realize_beside_helper(config, heuristic, outcomes)
     realized = []
-    for outcome in outcomes:
+    for index, outcome in enumerate(outcomes):
+        if outcome is None:
+            try:
+                outcome = _realize_channel(config, index, 0 if heuristic else index)
+            except ChanEmError as exc:
+                outcome = exc
         if isinstance(outcome, ChanEmError):
             return realized, outcome
         if isinstance(outcome, Exception):
             raise outcome
         realized.append(outcome)
     return realized, None
+
+
+def _forks_helper() -> bool:
+    """Whether a helper process may realize channels: on Linux, with more
+    than one usable CPU, and with no other Python thread alive, as os.fork
+    copies only the calling thread (Python 3.12 warns of forking beside
+    others)."""
+    import sys
+
+    return (
+        sys.platform == "linux"
+        and _usable_cpus() > 1
+        and threading.active_count() == 1
+    )
 
 
 def _usable_cpus() -> int:
@@ -458,13 +440,110 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+class _HelperTraceback(Exception):
+    """The formatted traceback of an error raised in the helper process."""
+
+
+def _realize_beside_helper(
+    config: ExperimentConfig, heuristic: bool, outcomes: list[Any]
+) -> None:
+    """Realize channels here and in one forked helper process, into `outcomes`.
+
+    Both processes take the next channel index from a counter in an
+    anonymous file, under its lockf lock, which the kernel drops if the
+    holder dies; this process takes channel 0 first, so the helper starts
+    at channel 1. Each realizes one channel at a time, so at most two are
+    in flight. A failing channel empties the counter, so neither side
+    takes another. The helper sends each outcome, a histogram and start or
+    an error with its formatted traceback, over a pipe, read once this side
+    has no channel left. It is reaped before this returns or raises, and
+    killed first if this side is leaving on an exception. A channel it did
+    not send, or whose outcome cannot be read back, is left None, as every
+    channel is where no helper can be forked. The helper leaves through
+    os._exit, so it flushes none of this process's buffers and runs none of
+    its exit handlers, and its spans, if bench/tracing.py wraps what it
+    calls, stay in its own memory.
+    """
+    import fcntl  # only this path uses these: command start-up stays as lean
+    import pickle
+    import signal
+    import traceback
+
+    count = len(outcomes)
+
+    def take(last: bool = False) -> int:
+        """The next channel index, `count` or more once none is left; with
+        `last`, none is left after this one."""
+        fcntl.lockf(counter, fcntl.LOCK_EX)
+        try:
+            index = int.from_bytes(os.pread(counter, 8, 0), "little")
+            after = count if last else index + 1
+            os.pwrite(counter, after.to_bytes(8, "little"), 0)
+        finally:
+            fcntl.lockf(counter, fcntl.LOCK_UN)
+        return index
+
+    def realize_from(index: int, report: Callable[[int, Any], None]) -> None:
+        """Realize and report channels from `index` on, until none is left
+        or one has failed."""
+        while index < count:
+            try:
+                outcome = _realize_channel(config, index, 0 if heuristic else index)
+            except Exception as exc:
+                take(last=True)
+                report(index, exc)
+                return
+            report(index, outcome)
+            index = take()
+
+    def send(index: int, outcome: Any) -> None:
+        trace = None
+        if isinstance(outcome, Exception):
+            trace = "".join(traceback.format_exception(outcome))
+        message = pickle.dumps((index, outcome, trace))
+        writer.write(len(message).to_bytes(8, "little") + message)
+        writer.flush()
+
+    counter = os.memfd_create("channels")
+    try:
+        os.pwrite(counter, (1).to_bytes(8, "little"), 0)
+        read_end, write_end = os.pipe()
+        with open(read_end, "rb") as reader, open(write_end, "wb") as writer:
+            try:
+                pid = os.fork()
+            except OSError:  # no process to spare: all are realized here
+                return
+            if pid == 0:  # the helper
+                try:
+                    realize_from(take(), send)
+                finally:
+                    os._exit(0)  # what it did is on the pipe
+            writer.close()  # or the pipe never ends
+            try:
+                realize_from(0, outcomes.__setitem__)
+                while len(head := reader.read(8)) == 8:
+                    message = reader.read(int.from_bytes(head, "little"))
+                    with contextlib.suppress(Exception):  # realized here instead
+                        index, outcome, trace = pickle.loads(message)
+                        if trace is not None:
+                            outcome.__cause__ = _HelperTraceback(trace)
+                        outcomes[index] = outcome
+            except BaseException:
+                os.kill(pid, signal.SIGKILL)
+                raise
+            finally:
+                os.waitpid(pid, 0)
+    finally:
+        os.close(counter)
+
+
 def _realize_channel(
     config: ExperimentConfig, index: int, start_index: int
 ) -> tuple[GapHistogram, ChannelParams]:
     """Channel `index`'s gap histogram and its start `start_index`.
 
     Its own frame, so the channel's realization is freed when it returns,
-    before its thread takes the next channel.
+    before its process takes the next channel.
     """
     dataset = _channel_dataset(config, index)
     return dataset, _resolve_starts(config, dataset)[start_index]

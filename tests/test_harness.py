@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
+import errno
 import io
 import json
 import os
+import select
+import signal
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
+import warnings
 import weakref
 from collections import Counter
 from pathlib import Path
@@ -1027,16 +1032,20 @@ class TestCmdMultichannel:
 
     def test_realizes_at_most_two_channels_at_a_time(self, tmp_path, monkeypatch):
         # the channels' histograms are all kept for the one lockstep fit, and
-        # the main thread and one helper realize a channel each at a time: a
-        # weakref to every realization so far (its schedule draw and run
-        # blocks) shows at most one other channel's alive when a channel is
-        # realized, and none by the time the command returns
+        # this process and one helper process realize a channel each at a
+        # time: a weakref to every realization so far in a process (its
+        # schedule draw and run blocks) shows no other channel's alive there
+        # when a channel is realized, and none here by the time the command
+        # returns; an O_APPEND log shows each channel taken once, by at most
+        # two processes
         alive = []
+        log = tmp_path / "taken.log"
         real = experiments.realize_runs
 
         def tracked(*args, **kwargs):
             held = [ref for ref in alive if ref() is not None]
-            assert len(held) <= 2, f"{len(held)} other realization part(s) alive"
+            assert not held, f"{len(held)} other realization part(s) alive"
+            _log_taken(log, args[4])  # the channel index
             runs, draw = real(*args, **kwargs)
             alive.extend((weakref.ref(runs), weakref.ref(draw)))
             return runs, draw
@@ -1051,34 +1060,82 @@ class TestCmdMultichannel:
             em={"max_iterations": 5, "record_trajectory": True},
         )
         cmd_multichannel(parse_config(resolved), resolved)
-        assert len(alive) == 2 * len(channels)
+        taken = _taken(log)
+        assert sorted(index for _, index in taken) == list(range(len(channels)))
+        assert len({pid for pid, _ in taken}) <= 2
+        here = [index for pid, index in taken if pid == os.getpid()]
+        assert len(alive) == 2 * len(here)
         assert all(ref() is None for ref in alive)
 
 
+def _log_taken(log: Path, index: int) -> None:
+    """Append `pid index` to `log`, whichever process realizes the channel."""
+    fd = os.open(log, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
+    try:
+        os.write(fd, f"{os.getpid()} {index}\n".encode())
+    finally:
+        os.close(fd)
+
+
+def _taken(log: Path) -> list[tuple[int, int]]:
+    """The (pid, channel index) pairs _log_taken appended, in order."""
+    if not log.exists():
+        return []
+    return [tuple(map(int, line.split())) for line in log.read_text().splitlines()]
+
+
+def _no_child_left() -> bool:
+    """Whether this process has no child process, running or unreaped."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+def _hand_channel_1_over(patch, log: Path, cpus: int, channel_1) -> None:
+    """Patch _usable_cpus to `cpus`, and _realize_channel to log each channel
+    it takes (_log_taken) and to call `channel_1()` before channel 1.
+
+    With more than one CPU, channel 0 waits until the helper process has
+    ended, so the helper takes channel 1 and what it can after it: the
+    helper alone holds a pipe's write end once this process has closed its
+    own, so the pipe ends with the helper.
+    """
+    real = experiments._realize_channel
+    if cpus > 1:
+        helper_ended, helper_alive = os.pipe()
+
+    def realize(config, index, start_index):
+        _log_taken(log, index)
+        if index == 0 and cpus > 1:
+            os.close(helper_alive)
+            assert select.select([helper_ended], [], [], 10)[0], "helper still alive"
+            assert os.read(helper_ended, 1) == b""
+            os.close(helper_ended)
+        if index == 1:
+            channel_1()
+        return real(config, index, start_index)
+
+    patch.setattr(experiments, "_usable_cpus", lambda: cpus)
+    patch.setattr(experiments, "_realize_channel", realize)
+
+
 class TestRealizeChannels:
-    """Channels realized on the helper thread fail as on the main thread."""
+    """Channels realized in the helper process fail as in the main one."""
 
     @staticmethod
     def run_failing(tmp_path, cpus, error):
         """Run multichannel on four channels whose channel 1 raises `error`.
 
-        With two usable CPUs, channel 0's realization waits until the helper
-        has taken channel 1, so channel 1 fails on the helper. Returns the
-        error raised, the thread channel 1 ran on, the channels fitted and
-        scored, and the change in the number of live threads.
+        With two usable CPUs, channel 1 fails in the helper process
+        (_hand_channel_1_over). Returns the error raised, the (pid, index)
+        of every channel taken, the channels fitted and scored, and the
+        change in the number of live threads.
         """
-        helper_took = threading.Event()
-        channel_1 = []
-        real = experiments._realize_channel
 
-        def realize(config, index, start_index):
-            if index == 0 and cpus > 1:
-                assert helper_took.wait(10)
-            if index == 1:
-                channel_1.append(threading.current_thread())
-                helper_took.set()
-                raise error
-            return real(config, index, start_index)
+        def fail():
+            raise error
 
         fitted, scored = [], []
         run_em_each, score = experiments.run_em_each, experiments.score_against_truth
@@ -1096,28 +1153,29 @@ class TestRealizeChannels:
         resolved = small_config(
             tmp_path, true_params=channels, starts=starts, em={"max_iterations": 5}
         )
+        log = tmp_path / "taken.log"
+        tmp_path.mkdir()
         before = threading.active_count()
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(experiments, "_usable_cpus", lambda: cpus)
-            patch.setattr(experiments, "_realize_channel", realize)
+            _hand_channel_1_over(patch, log, cpus, fail)
             patch.setattr(experiments, "run_em_each", recorded_fit)
             patch.setattr(experiments, "score_against_truth", recorded_score)
             with pytest.raises(type(error)) as raised:
                 cmd_multichannel(parse_config(resolved), resolved)
-        (thread,) = channel_1
-        return raised.value, thread, fitted, scored, threading.active_count() - before
+        threads_left = threading.active_count() - before
+        return raised.value, _taken(log), fitted, scored, threads_left
 
-    def test_each_channel_realized_once_under_fast_switching(
+    def test_each_channel_realized_once_across_both_processes(
         self, tmp_path, monkeypatch
     ):
-        # a 1 us switch interval interleaves the two threads as finely as the
-        # interpreter allows: each channel is still realized exactly once,
-        # into the histogram it has alone, and read back in channel order
-        taken = []
+        # both processes take channels from the one counter: each channel is
+        # realized exactly once, into the histogram it has alone, and read
+        # back in channel order
+        log = tmp_path / "taken.log"
         real = experiments._realize_channel
 
         def counted(config, index, start_index):
-            taken.append(index)
+            _log_taken(log, index)
             return real(config, index, start_index)
 
         monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
@@ -1128,12 +1186,11 @@ class TestRealizeChannels:
             tmp_path, true_params=channels, starts=starts, observed_slots=500
         )
         config = parse_config(resolved)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            rounds = [experiments._realize_channels(config, False) for _ in range(5)]
-        finally:
-            sys.setswitchinterval(interval)
+        threads = threading.active_count()
+        rounds = [experiments._realize_channels(config, False) for _ in range(5)]
+        assert threading.active_count() == threads
+        assert _no_child_left()
+        taken = [index for _, index in _taken(log)]
         assert sorted(taken) == sorted(list(range(len(channels))) * len(rounds))
         for index, truth in enumerate(config.true_params):
             alone = realize_histogram(
@@ -1148,6 +1205,7 @@ class TestRealizeChannels:
                 dataset, start = realized[index]
                 assert np.array_equal(dataset.signatures, alone.signatures)
                 assert np.array_equal(dataset.counts, alone.counts)
+                assert dataset.first_state == alone.first_state
                 assert start == config.starts[index]
 
     @pytest.mark.parametrize(
@@ -1156,10 +1214,20 @@ class TestRealizeChannels:
     def test_helper_error_raises_as_on_the_main_thread(self, tmp_path, error):
         alone = self.run_failing(tmp_path / "alone", 1, error)
         helped = self.run_failing(tmp_path / "helped", 2, error)
-        assert alone[1] is threading.main_thread()
-        assert helped[1] is not threading.main_thread()
+        main_pid = os.getpid()
+        assert alone[1] == [(main_pid, 0), (main_pid, 1)]
+        # once channel 1 has failed in the helper, no channel after it is taken
+        ((pid_0, index_0), (pid_1, index_1)) = sorted(helped[1], key=lambda t: t[1])
+        assert (pid_0, index_0) == (main_pid, 0)
+        assert pid_1 != main_pid and index_1 == 1
+        assert alone[0] is error
+        # pickled across the pipe: the same type and message, not the object,
+        # caused by the helper's formatted traceback
+        assert type(helped[0]) is type(error)
+        assert helped[0].args == error.args
+        assert f"{type(error).__name__}: channel 1" in str(helped[0].__cause__)
+        assert "in fail" in str(helped[0].__cause__)
         for raised, _, fitted, scored, threads_left in (alone, helped):
-            assert raised is error
             if isinstance(error, DegenerateObservationsError):
                 # channel 0 is fitted and scored before channel 1's error
                 assert fitted == [[ChannelParams(0.6, 0.5)]]
@@ -1167,6 +1235,194 @@ class TestRealizeChannels:
             else:  # raised at once, as a bug in realizing would be
                 assert fitted == scored == []
             assert threads_left == 0
+        assert _no_child_left()
+
+
+class _UnsentError(ValueError):
+    """An error that holds a lock, so it cannot be pickled."""
+
+    def __init__(self, message, channel):
+        super().__init__(f"{message} {channel}")
+        self.lock = threading.Lock()
+
+
+class _UnreadError(ValueError):
+    """An error that pickles to args it cannot be rebuilt from."""
+
+    def __init__(self, message, channel):
+        super().__init__(f"{message} {channel}")
+
+
+class TestHelperProcess:
+    """The helper process's life: its death, exit, and when it is not made."""
+
+    CHANNELS = [{"alpha": 0.8, "beta": 0.3}, {"alpha": 0.2, "beta": 0.9}] * 2
+
+    def resolved(self, tmp_path):
+        return small_config(
+            tmp_path,
+            true_params=self.CHANNELS,
+            starts=[{"alpha": 0.6, "beta": 0.5}] * len(self.CHANNELS),
+            em={"max_iterations": 5, "record_trajectory": True},
+        )
+
+    def multichannel(self, tmp_path, capsys, cpus, channel_1=lambda: None):
+        """Output bytes by name, stdout, and the (pid, index) log of one
+        four-channel multichannel run in `tmp_path` (_hand_channel_1_over)."""
+        resolved = self.resolved(tmp_path)
+        log = tmp_path / f"taken-{cpus}.log"
+        with pytest.MonkeyPatch.context() as patch:
+            _hand_channel_1_over(patch, log, cpus, channel_1)
+            written = cmd_multichannel(parse_config(resolved), resolved)
+        outputs = {path.name: path.read_bytes() for path in written}
+        return outputs, capsys.readouterr().out, _taken(log)
+
+    def test_killed_helper_changes_no_byte(self, tmp_path, capsys):
+        # the helper dies inside channel 1, which it never reports: this
+        # process realizes channel 1 again, to the same bytes
+        main_pid = os.getpid()
+
+        def die():
+            if os.getpid() != main_pid:
+                os.kill(os.getpid(), signal.SIGKILL)
+
+        alone = self.multichannel(tmp_path, capsys, 1)
+        helped = self.multichannel(tmp_path, capsys, 2, die)
+        assert helped[:2] == alone[:2]
+        took_1 = [pid for pid, index in helped[2] if index == 1]
+        assert len(took_1) == 2 and took_1[0] != main_pid and took_1[1] == main_pid
+        assert _no_child_left()
+
+    def test_helper_killed_when_leaving_on_an_exception(self, tmp_path):
+        # this process leaves on a BaseException while the helper takes, or
+        # sleeps in, channel 1: the helper is killed and reaped, not waited for
+        class Leave(BaseException):
+            pass
+
+        real = experiments._realize_channel
+
+        def realize(config, index, start_index):
+            if index == 0:
+                raise Leave
+            if index == 1:
+                time.sleep(60)
+            return real(config, index, start_index)
+
+        resolved = self.resolved(tmp_path)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(experiments, "_usable_cpus", lambda: 2)
+            patch.setattr(experiments, "_realize_channel", realize)
+            began = time.monotonic()
+            with pytest.raises(Leave):
+                experiments._realize_channels(parse_config(resolved), False)
+        assert time.monotonic() - began < 30
+        assert _no_child_left()
+
+    @pytest.mark.parametrize("error", [_UnsentError, _UnreadError])
+    def test_error_lost_on_the_pipe_is_raised_from_this_process(
+        self, tmp_path, capsys, error
+    ):
+        # an error that the helper cannot pickle, or this process cannot
+        # unpickle, is not reported: this process realizes its channel again
+        # and raises the error itself, with its own traceback
+        def fail():
+            raise error("channel", 1)
+
+        with pytest.raises(error, match="^channel 1$") as raised:
+            self.multichannel(tmp_path, capsys, 2, fail)
+        assert raised.value.__cause__ is None
+        took_1 = [pid for pid, index in _taken(tmp_path / "taken-2.log") if index == 1]
+        assert len(took_1) == 2 and took_1[0] != os.getpid() == took_1[1]
+        assert _no_child_left()
+
+    def test_buffered_stdout_is_written_once(self, tmp_path):
+        # text in sys.stdout's buffer when the helper forks is this process's
+        # to write: the helper leaves without flushing it
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(self.resolved(tmp_path / "out")))
+        code = (
+            "import os, select, sys\n"
+            "sys.stdout.write('buffered before the command\\n')\n"
+            "from chan_em.harness import cli, experiments\n"
+            "took_1, write_took_1 = os.pipe()\n"
+            "real = experiments._realize_channel\n"
+            "def realize(config, index, start_index):\n"
+            "    if index == 0:  # so that the helper takes channel 1\n"
+            "        assert select.select([took_1], [], [], 10)[0]\n"
+            "    if index == 1:\n"
+            "        os.write(write_took_1, str(os.getpid()).encode())\n"
+            "    return real(config, index, start_index)\n"
+            "experiments._usable_cpus = lambda: 2\n"
+            "experiments._realize_channel = realize\n"
+            "code = cli.main(['multichannel', '--config', sys.argv[1]])\n"
+            "print('helper took channel 1:', os.read(took_1, 64) != "
+            "str(os.getpid()).encode())\n"
+            "sys.exit(code)\n"
+        )
+        src = str(Path(experiments.__file__).parents[2])
+        env = {**os.environ, "PYTHONPATH": src}
+        run = subprocess.run(
+            [sys.executable, "-c", code, str(config)],
+            env=env, capture_output=True, text=True,
+        )
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.count("buffered before the command") == 1
+        assert run.stdout.count("multichannel: 4 channels") == 1
+        assert run.stdout.endswith("helper took channel 1: True\n")
+
+    def multichannel_with_fork(self, tmp_path, capsys, monkeypatch, fork):
+        """Output bytes by name and stdout of multichannel in `tmp_path`, with
+        two usable CPUs and os.fork replaced by `fork`."""
+        resolved = self.resolved(tmp_path)
+        monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(os, "fork", fork)
+        written = cmd_multichannel(parse_config(resolved), resolved)
+        outputs = {path.name: path.read_bytes() for path in written}
+        return outputs, capsys.readouterr().out
+
+    def test_no_fork_beside_another_thread(self, tmp_path, capsys, monkeypatch):
+        # os.fork copies only the calling thread (Python 3.12 warns of it):
+        # with another Python thread alive, this process realizes every
+        # channel alone, to the same bytes
+        def fork():
+            raise AssertionError("forked beside another thread")
+
+        alone = self.multichannel(tmp_path, capsys, 1)
+        release = threading.Event()
+        other = threading.Thread(target=release.wait)
+        other.start()
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", DeprecationWarning)
+                beside = self.multichannel_with_fork(
+                    tmp_path, capsys, monkeypatch, fork
+                )
+        finally:
+            release.set()
+            other.join()
+        assert beside == alone[:2]
+
+    def test_failed_fork_realizes_every_channel_here(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def fork():
+            raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+        alone = self.multichannel(tmp_path, capsys, 1)
+        unforked = self.multichannel_with_fork(tmp_path, capsys, monkeypatch, fork)
+        assert unforked == alone[:2]
+        assert _no_child_left()
+
+    def test_rank_bytes_do_not_depend_on_the_helper(self, tmp_path, capsys):
+        def rank(cpus):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(experiments, "_usable_cpus", lambda: cpus)
+                code = main(["rank", "--preset", "paper-fig5", "--out", str(tmp_path)])
+            assert code == 0
+            return (tmp_path / "ranking.json").read_bytes(), capsys.readouterr().out
+
+        assert rank(1) == rank(2)
+        assert _no_child_left()
 
 
 # channels whose data have different signature tables (24 rows and 6)
