@@ -20,9 +20,10 @@ import itertools
 import json
 import math
 import os
+import pickle
 import threading
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, BinaryIO, Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -347,14 +348,14 @@ def cmd_se_grid(config: ExperimentConfig, resolved: dict) -> list[Path]:
 def _estimate_channels(config: ExperimentConfig) -> list[EstimateReport]:
     """Simulate, observe, and estimate every configured channel.
 
-    The channels are realized two at a time, here and in a forked helper
-    process where more than one CPU is usable (_realize_channels), and only
-    their gap histograms are kept; all of them are then fitted here in one
-    lockstep (run_em_each) and scored in order. The first channel to fail,
-    in channel order, raises its error, as when each channel was realized,
-    fitted and scored before the next: a realization or start error stops
-    the realizing, and is raised only once the channels before it are
-    fitted and scored.
+    The channels are realized two at a time, the first half here and the
+    second in a forked helper process where more than one CPU is usable
+    (_realize_channels), and only their gap histograms are kept; all of
+    them are then fitted here in one lockstep (run_em_each) and scored in
+    order. The first channel to fail, in channel order, raises its error,
+    as when each channel was realized, fitted and scored before the next: a
+    realization or start error stops the realizing, and is raised only once
+    the channels before it are fitted and scored.
     """
     channels = config.true_params
     heuristic = isinstance(config.starts, int)
@@ -392,30 +393,35 @@ def _realize_channels(
     """Each channel's gap histogram and start, in channel order, up to the
     first channel whose realization or start fails, and that ChanEmError.
 
-    Where _forks_helper allows, one helper process realizes channels beside
-    this one (_realize_beside_helper). Every channel left unrealized, which
-    is all of them where no helper is forked, is then realized here, in
-    channel order. A channel reads only its own generators, so its
-    histogram does not depend on the process that realized it, and every
-    channel before a failing one is realized whole before this returns. An
-    error that is not a ChanEmError is raised here, in channel order, as
-    the channel's realization raised it.
+    This process realizes the first half of the channels, `half` of them,
+    while a helper process, where _helper_realizing forks one, realizes the
+    second half. At channel `half` this process takes the helper's
+    outcomes; every channel the helper did not report, which is all of them
+    where no helper is forked, is realized here, in channel order. A channel
+    reads only its own generators, so its histogram does not depend on the
+    process that realized it, and every channel before a failing one is
+    realized whole before this returns. An error that is not a ChanEmError
+    is raised here, in channel order, as the channel's realization raised it.
     """
-    outcomes: list[Any] = [None] * len(config.true_params)
-    if len(outcomes) > 1 and _forks_helper():
-        _realize_beside_helper(config, heuristic, outcomes)
+    count = len(config.true_params)
+    half = (count + 1) // 2
     realized = []
-    for index, outcome in enumerate(outcomes):
-        if outcome is None:
-            try:
-                outcome = _realize_channel(config, index, 0 if heuristic else index)
-            except ChanEmError as exc:
-                outcome = exc
-        if isinstance(outcome, ChanEmError):
-            return realized, outcome
-        if isinstance(outcome, Exception):
-            raise outcome
-        realized.append(outcome)
+    with _helper_realizing(config, heuristic, range(half, count)) as helped:
+        outcomes: dict[int, Any] = {}
+        for index in range(count):
+            if index == half:
+                outcomes = helped()
+            outcome = outcomes.get(index)
+            if outcome is None:
+                try:
+                    outcome = _realize_channel(config, index, 0 if heuristic else index)
+                except ChanEmError as exc:
+                    outcome = exc
+            if isinstance(outcome, ChanEmError):
+                return realized, outcome
+            if isinstance(outcome, Exception):
+                raise outcome
+            realized.append(outcome)
     return realized, None
 
 
@@ -444,97 +450,80 @@ class _HelperTraceback(Exception):
     """The formatted traceback of an error raised in the helper process."""
 
 
-def _realize_beside_helper(
-    config: ExperimentConfig, heuristic: bool, outcomes: list[Any]
-) -> None:
-    """Realize channels here and in one forked helper process, into `outcomes`.
+@contextlib.contextmanager
+def _helper_realizing(
+    config: ExperimentConfig, heuristic: bool, channels: range
+) -> Iterator[Callable[[], dict[int, Any]]]:
+    """Realize `channels` in one forked helper process, beside this one.
 
-    Both processes take the next channel index from a counter in an
-    anonymous file, under its lockf lock, which the kernel drops if the
-    holder dies; this process takes channel 0 first, so the helper starts
-    at channel 1. Each realizes one channel at a time, so at most two are
-    in flight. A failing channel empties the counter, so neither side
-    takes another. The helper sends each outcome, a histogram and start or
-    an error with its formatted traceback, over a pipe, read once this side
-    has no channel left. It is reaped before this returns or raises, and
-    killed first if this side is leaving on an exception. A channel it did
-    not send, or whose outcome cannot be read back, is left None, as every
-    channel is where no helper can be forked. The helper leaves through
-    os._exit, so it flushes none of this process's buffers and runs none of
-    its exit handlers, and its spans, if bench/tracing.py wraps what it
-    calls, stay in its own memory.
+    Yields a call that waits for the helper's outcomes (_realize_in_order),
+    sent as one pickle once it is done, and returns them by channel index
+    (_helper_outcomes); the call returns {} where _forks_helper allows no
+    helper or the fork fails. The helper is killed and reaped on every
+    exit, so a failure in this process's own channels does not wait for
+    it. It leaves through os._exit, so it flushes none of this process's
+    buffers and runs none of its exit handlers, and its spans, if
+    bench/tracing.py wraps what it calls, stay in its own memory.
     """
-    import fcntl  # only this path uses these: command start-up stays as lean
-    import pickle
-    import signal
+    import signal  # only this path uses it: command start-up stays as lean
+
+    if not channels or not _forks_helper():
+        yield dict
+        return
+    read_end, write_end = os.pipe()
+    with open(read_end, "rb") as reader, open(write_end, "wb") as writer:
+        try:
+            pid = os.fork()
+        except OSError:  # no process to spare: all are realized here
+            pid = None
+        if pid == 0:  # the helper
+            try:
+                outcomes = _realize_in_order(config, heuristic, channels)
+                writer.write(pickle.dumps(outcomes))
+                writer.flush()
+            finally:
+                os._exit(0)  # what it did is on the pipe
+        writer.close()  # so that the pipe ends with the helper
+        if pid is None:
+            yield dict
+            return
+        try:
+            yield lambda: _helper_outcomes(reader)
+        finally:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _realize_in_order(
+    config: ExperimentConfig, heuristic: bool, channels: range
+) -> tuple[dict[int, Any], str | None]:
+    """The outcome of each of `channels`, a histogram and start or an error,
+    by index, up to the first that fails, and that error's formatted
+    traceback, or None."""
     import traceback
 
-    count = len(outcomes)
-
-    def take(last: bool = False) -> int:
-        """The next channel index, `count` or more once none is left; with
-        `last`, none is left after this one."""
-        fcntl.lockf(counter, fcntl.LOCK_EX)
+    outcomes: dict[int, Any] = {}
+    for index in channels:
         try:
-            index = int.from_bytes(os.pread(counter, 8, 0), "little")
-            after = count if last else index + 1
-            os.pwrite(counter, after.to_bytes(8, "little"), 0)
-        finally:
-            fcntl.lockf(counter, fcntl.LOCK_UN)
-        return index
+            outcomes[index] = _realize_channel(config, index, 0 if heuristic else index)
+        except Exception as exc:
+            outcomes[index] = exc
+            return outcomes, "".join(traceback.format_exception(exc))
+    return outcomes, None
 
-    def realize_from(index: int, report: Callable[[int, Any], None]) -> None:
-        """Realize and report channels from `index` on, until none is left
-        or one has failed."""
-        while index < count:
-            try:
-                outcome = _realize_channel(config, index, 0 if heuristic else index)
-            except Exception as exc:
-                take(last=True)
-                report(index, exc)
-                return
-            report(index, outcome)
-            index = take()
 
-    def send(index: int, outcome: Any) -> None:
-        trace = None
-        if isinstance(outcome, Exception):
-            trace = "".join(traceback.format_exception(outcome))
-        message = pickle.dumps((index, outcome, trace))
-        writer.write(len(message).to_bytes(8, "little") + message)
-        writer.flush()
-
-    counter = os.memfd_create("channels")
+def _helper_outcomes(reader: BinaryIO) -> dict[int, Any]:
+    """The helper's outcomes by channel index, read from `reader`, its error
+    caused by its formatted traceback (_HelperTraceback); or {} where they
+    are not read back whole: the helper died, or they do not pickle or
+    unpickle."""
     try:
-        os.pwrite(counter, (1).to_bytes(8, "little"), 0)
-        read_end, write_end = os.pipe()
-        with open(read_end, "rb") as reader, open(write_end, "wb") as writer:
-            try:
-                pid = os.fork()
-            except OSError:  # no process to spare: all are realized here
-                return
-            if pid == 0:  # the helper
-                try:
-                    realize_from(take(), send)
-                finally:
-                    os._exit(0)  # what it did is on the pipe
-            writer.close()  # or the pipe never ends
-            try:
-                realize_from(0, outcomes.__setitem__)
-                while len(head := reader.read(8)) == 8:
-                    message = reader.read(int.from_bytes(head, "little"))
-                    with contextlib.suppress(Exception):  # realized here instead
-                        index, outcome, trace = pickle.loads(message)
-                        if trace is not None:
-                            outcome.__cause__ = _HelperTraceback(trace)
-                        outcomes[index] = outcome
-            except BaseException:
-                os.kill(pid, signal.SIGKILL)
-                raise
-            finally:
-                os.waitpid(pid, 0)
-    finally:
-        os.close(counter)
+        outcomes, trace = pickle.load(reader)
+    except Exception:  # all are realized here instead
+        return {}
+    if trace is not None:  # the helper's last channel failed
+        outcomes[max(outcomes)].__cause__ = _HelperTraceback(trace)
+    return outcomes
 
 
 def _realize_channel(
@@ -543,7 +532,7 @@ def _realize_channel(
     """Channel `index`'s gap histogram and its start `start_index`.
 
     Its own frame, so the channel's realization is freed when it returns,
-    before its process takes the next channel.
+    before its process realizes the next channel.
     """
     dataset = _channel_dataset(config, index)
     return dataset, _resolve_starts(config, dataset)[start_index]

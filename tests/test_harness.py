@@ -6,7 +6,6 @@ import errno
 import io
 import json
 import os
-import select
 import signal
 import subprocess
 import sys
@@ -1093,28 +1092,27 @@ def _no_child_left() -> bool:
     return False
 
 
-def _hand_channel_1_over(patch, log: Path, cpus: int, channel_1) -> None:
-    """Patch _usable_cpus to `cpus`, and _realize_channel to log each channel
-    it takes (_log_taken) and to call `channel_1()` before channel 1.
+def _wait_for_helper(log: Path, index: int) -> None:
+    """Wait, for up to 10 s, until another process logs taking `index`."""
+    deadline = time.monotonic() + 10
+    while not any(pid != os.getpid() and i == index for pid, i in _taken(log)):
+        assert time.monotonic() < deadline, f"no helper took channel {index}"
+        time.sleep(0.01)
 
-    With more than one CPU, channel 0 waits until the helper process has
-    ended, so the helper takes channel 1 and what it can after it: the
-    helper alone holds a pipe's write end once this process has closed its
-    own, so the pipe ends with the helper.
+
+def _hand_channel_2_over(patch, log: Path, cpus: int, channel_2) -> None:
+    """Patch _usable_cpus to `cpus`, and _realize_channel to log each channel
+    it takes (_log_taken) and to call `channel_2()` before channel 2.
+
+    Of four channels, this process realizes 0 and 1; with more than one
+    CPU, the helper process realizes 2 and 3.
     """
     real = experiments._realize_channel
-    if cpus > 1:
-        helper_ended, helper_alive = os.pipe()
 
     def realize(config, index, start_index):
         _log_taken(log, index)
-        if index == 0 and cpus > 1:
-            os.close(helper_alive)
-            assert select.select([helper_ended], [], [], 10)[0], "helper still alive"
-            assert os.read(helper_ended, 1) == b""
-            os.close(helper_ended)
-        if index == 1:
-            channel_1()
+        if index == 2:
+            channel_2()
         return real(config, index, start_index)
 
     patch.setattr(experiments, "_usable_cpus", lambda: cpus)
@@ -1126,10 +1124,10 @@ class TestRealizeChannels:
 
     @staticmethod
     def run_failing(tmp_path, cpus, error):
-        """Run multichannel on four channels whose channel 1 raises `error`.
+        """Run multichannel on four channels whose channel 2 raises `error`.
 
-        With two usable CPUs, channel 1 fails in the helper process
-        (_hand_channel_1_over). Returns the error raised, the (pid, index)
+        With two usable CPUs, channel 2 fails in the helper process
+        (_hand_channel_2_over). Returns the error raised, the (pid, index)
         of every channel taken, the channels fitted and scored, and the
         change in the number of live threads.
         """
@@ -1157,7 +1155,7 @@ class TestRealizeChannels:
         tmp_path.mkdir()
         before = threading.active_count()
         with pytest.MonkeyPatch.context() as patch:
-            _hand_channel_1_over(patch, log, cpus, fail)
+            _hand_channel_2_over(patch, log, cpus, fail)
             patch.setattr(experiments, "run_em_each", recorded_fit)
             patch.setattr(experiments, "score_against_truth", recorded_score)
             with pytest.raises(type(error)) as raised:
@@ -1168,9 +1166,9 @@ class TestRealizeChannels:
     def test_each_channel_realized_once_across_both_processes(
         self, tmp_path, monkeypatch
     ):
-        # both processes take channels from the one counter: each channel is
-        # realized exactly once, into the histogram it has alone, and read
-        # back in channel order
+        # each channel is realized exactly once, by the process whose half it
+        # is in, into the histogram it has alone, and read back in channel
+        # order
         log = tmp_path / "taken.log"
         real = experiments._realize_channel
 
@@ -1208,30 +1206,98 @@ class TestRealizeChannels:
                 assert dataset.first_state == alone.first_state
                 assert start == config.starts[index]
 
+    @pytest.mark.parametrize("count", [2, 3, 4, 5])
+    def test_this_process_realizes_the_first_half(
+        self, tmp_path, monkeypatch, count
+    ):
+        # this process realizes channels 0 .. half-1 and one helper process
+        # realizes half .. count-1, in order, each exactly once
+        log = tmp_path / "taken.log"
+        real = experiments._realize_channel
+
+        def counted(config, index, start_index):
+            _log_taken(log, index)
+            return real(config, index, start_index)
+
+        monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(experiments, "_realize_channel", counted)
+        channels = [{"alpha": 0.1 * (i + 1), "beta": 0.3} for i in range(count)]
+        starts = [{"alpha": 0.6, "beta": 0.5}] * count
+        resolved = small_config(
+            tmp_path, true_params=channels, starts=starts, observed_slots=500
+        )
+        config = parse_config(resolved)
+        realized, stopped = experiments._realize_channels(config, False)
+        assert stopped is None and len(realized) == count
+        assert _no_child_left()
+        taken = _taken(log)
+        half = (count + 1) // 2
+        here = [index for pid, index in taken if pid == os.getpid()]
+        assert here == list(range(half))
+        helpers = {pid for pid, _ in taken if pid != os.getpid()}
+        assert len(helpers) == 1
+        assert [index for pid, index in taken if pid in helpers] == list(
+            range(half, count)
+        )
+
+    def test_failure_in_this_half_does_not_wait_for_the_helper(self, tmp_path):
+        # channel 0 fails here while the helper sleeps in channel 2, its
+        # first: the error is raised at once, nothing is fitted, and the
+        # helper is killed and reaped
+        log = tmp_path / "taken.log"
+        fitted = []
+        run_em_each = experiments.run_em_each
+
+        def recorded_fit(datasets, starts, em_config):
+            fitted.extend(starts)
+            return run_em_each(datasets, starts, em_config)
+
+        def realize(config, index, start_index):
+            _log_taken(log, index)
+            if index == 0:
+                _wait_for_helper(log, 2)
+                raise DegenerateObservationsError("channel 0")
+            time.sleep(60)
+
+        channels = [{"alpha": 0.8, "beta": 0.3}, {"alpha": 0.2, "beta": 0.9}] * 2
+        starts = [{"alpha": 0.6, "beta": 0.5}] * len(channels)
+        resolved = small_config(tmp_path, true_params=channels, starts=starts)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(experiments, "_usable_cpus", lambda: 2)
+            patch.setattr(experiments, "_realize_channel", realize)
+            patch.setattr(experiments, "run_em_each", recorded_fit)
+            began = time.monotonic()
+            with pytest.raises(DegenerateObservationsError, match="channel 0"):
+                cmd_multichannel(parse_config(resolved), resolved)
+        assert time.monotonic() - began < 30
+        assert fitted == []
+        assert _no_child_left()
+        assert sorted(index for _, index in _taken(log)) == [0, 2]
+
     @pytest.mark.parametrize(
-        "error", [DegenerateObservationsError("channel 1"), ValueError("channel 1")]
+        "error", [DegenerateObservationsError("channel 2"), ValueError("channel 2")]
     )
     def test_helper_error_raises_as_on_the_main_thread(self, tmp_path, error):
         alone = self.run_failing(tmp_path / "alone", 1, error)
         helped = self.run_failing(tmp_path / "helped", 2, error)
         main_pid = os.getpid()
-        assert alone[1] == [(main_pid, 0), (main_pid, 1)]
-        # once channel 1 has failed in the helper, no channel after it is taken
-        ((pid_0, index_0), (pid_1, index_1)) = sorted(helped[1], key=lambda t: t[1])
-        assert (pid_0, index_0) == (main_pid, 0)
-        assert pid_1 != main_pid and index_1 == 1
+        assert alone[1] == [(main_pid, 0), (main_pid, 1), (main_pid, 2)]
+        # once channel 2 has failed in the helper, no channel after it is taken
+        (*here, (pid_2, index_2)) = sorted(helped[1], key=lambda t: t[1])
+        assert here == [(main_pid, 0), (main_pid, 1)]
+        assert pid_2 != main_pid and index_2 == 2
         assert alone[0] is error
         # pickled across the pipe: the same type and message, not the object,
         # caused by the helper's formatted traceback
         assert type(helped[0]) is type(error)
         assert helped[0].args == error.args
-        assert f"{type(error).__name__}: channel 1" in str(helped[0].__cause__)
+        assert f"{type(error).__name__}: channel 2" in str(helped[0].__cause__)
         assert "in fail" in str(helped[0].__cause__)
         for raised, _, fitted, scored, threads_left in (alone, helped):
             if isinstance(error, DegenerateObservationsError):
-                # channel 0 is fitted and scored before channel 1's error
-                assert fitted == [[ChannelParams(0.6, 0.5)]]
-                assert scored == [ChannelParams(0.8, 0.3)]
+                # channels 0 and 1 are fitted and scored before channel 2's error
+                assert fitted == [[ChannelParams(0.6, 0.5), ChannelParams(0.6, 0.4)]]
+                assert scored == [ChannelParams(0.8, 0.3), ChannelParams(0.2, 0.9)]
             else:  # raised at once, as a bug in realizing would be
                 assert fitted == scored == []
             assert threads_left == 0
@@ -1266,20 +1332,20 @@ class TestHelperProcess:
             em={"max_iterations": 5, "record_trajectory": True},
         )
 
-    def multichannel(self, tmp_path, capsys, cpus, channel_1=lambda: None):
+    def multichannel(self, tmp_path, capsys, cpus, channel_2=lambda: None):
         """Output bytes by name, stdout, and the (pid, index) log of one
-        four-channel multichannel run in `tmp_path` (_hand_channel_1_over)."""
+        four-channel multichannel run in `tmp_path` (_hand_channel_2_over)."""
         resolved = self.resolved(tmp_path)
         log = tmp_path / f"taken-{cpus}.log"
         with pytest.MonkeyPatch.context() as patch:
-            _hand_channel_1_over(patch, log, cpus, channel_1)
+            _hand_channel_2_over(patch, log, cpus, channel_2)
             written = cmd_multichannel(parse_config(resolved), resolved)
         outputs = {path.name: path.read_bytes() for path in written}
         return outputs, capsys.readouterr().out, _taken(log)
 
     def test_killed_helper_changes_no_byte(self, tmp_path, capsys):
-        # the helper dies inside channel 1, which it never reports: this
-        # process realizes channel 1 again, to the same bytes
+        # the helper dies inside channel 2, its first, so it reports nothing:
+        # this process realizes channels 2 and 3 again, to the same bytes
         main_pid = os.getpid()
 
         def die():
@@ -1289,24 +1355,25 @@ class TestHelperProcess:
         alone = self.multichannel(tmp_path, capsys, 1)
         helped = self.multichannel(tmp_path, capsys, 2, die)
         assert helped[:2] == alone[:2]
-        took_1 = [pid for pid, index in helped[2] if index == 1]
-        assert len(took_1) == 2 and took_1[0] != main_pid and took_1[1] == main_pid
+        took_2 = [pid for pid, index in helped[2] if index == 2]
+        assert len(took_2) == 2 and took_2[0] != main_pid and took_2[1] == main_pid
+        assert [pid for pid, index in helped[2] if index == 3] == [main_pid]
         assert _no_child_left()
 
     def test_helper_killed_when_leaving_on_an_exception(self, tmp_path):
-        # this process leaves on a BaseException while the helper takes, or
-        # sleeps in, channel 1: the helper is killed and reaped, not waited for
+        # this process leaves on a BaseException while the helper sleeps in
+        # channel 2: the helper is killed and reaped, not waited for
         class Leave(BaseException):
             pass
 
-        real = experiments._realize_channel
+        log = tmp_path / "taken.log"
 
         def realize(config, index, start_index):
+            _log_taken(log, index)
             if index == 0:
+                _wait_for_helper(log, 2)
                 raise Leave
-            if index == 1:
-                time.sleep(60)
-            return real(config, index, start_index)
+            time.sleep(60)
 
         resolved = self.resolved(tmp_path)
         with pytest.MonkeyPatch.context() as patch:
@@ -1326,13 +1393,13 @@ class TestHelperProcess:
         # unpickle, is not reported: this process realizes its channel again
         # and raises the error itself, with its own traceback
         def fail():
-            raise error("channel", 1)
+            raise error("channel", 2)
 
-        with pytest.raises(error, match="^channel 1$") as raised:
+        with pytest.raises(error, match="^channel 2$") as raised:
             self.multichannel(tmp_path, capsys, 2, fail)
         assert raised.value.__cause__ is None
-        took_1 = [pid for pid, index in _taken(tmp_path / "taken-2.log") if index == 1]
-        assert len(took_1) == 2 and took_1[0] != os.getpid() == took_1[1]
+        took_2 = [pid for pid, index in _taken(tmp_path / "taken-2.log") if index == 2]
+        assert len(took_2) == 2 and took_2[0] != os.getpid() == took_2[1]
         assert _no_child_left()
 
     def test_buffered_stdout_is_written_once(self, tmp_path):
@@ -1341,21 +1408,19 @@ class TestHelperProcess:
         config = tmp_path / "config.json"
         config.write_text(json.dumps(self.resolved(tmp_path / "out")))
         code = (
-            "import os, select, sys\n"
+            "import os, sys\n"
             "sys.stdout.write('buffered before the command\\n')\n"
             "from chan_em.harness import cli, experiments\n"
-            "took_1, write_took_1 = os.pipe()\n"
+            "took_2, write_took_2 = os.pipe()\n"
             "real = experiments._realize_channel\n"
             "def realize(config, index, start_index):\n"
-            "    if index == 0:  # so that the helper takes channel 1\n"
-            "        assert select.select([took_1], [], [], 10)[0]\n"
-            "    if index == 1:\n"
-            "        os.write(write_took_1, str(os.getpid()).encode())\n"
+            "    if index == 2:\n"
+            "        os.write(write_took_2, str(os.getpid()).encode())\n"
             "    return real(config, index, start_index)\n"
             "experiments._usable_cpus = lambda: 2\n"
             "experiments._realize_channel = realize\n"
             "code = cli.main(['multichannel', '--config', sys.argv[1]])\n"
-            "print('helper took channel 1:', os.read(took_1, 64) != "
+            "print('helper took channel 2:', os.read(took_2, 64) != "
             "str(os.getpid()).encode())\n"
             "sys.exit(code)\n"
         )
@@ -1368,7 +1433,7 @@ class TestHelperProcess:
         assert run.returncode == 0, run.stderr
         assert run.stdout.count("buffered before the command") == 1
         assert run.stdout.count("multichannel: 4 channels") == 1
-        assert run.stdout.endswith("helper took channel 1: True\n")
+        assert run.stdout.endswith("helper took channel 2: True\n")
 
     def multichannel_with_fork(self, tmp_path, capsys, monkeypatch, fork):
         """Output bytes by name and stdout of multichannel in `tmp_path`, with
